@@ -42,7 +42,6 @@ type config struct {
 	csvDir     string
 	seed       uint64
 	parallel   int
-	shards     int
 	grouped    bool
 	exact      bool
 	maxN       int
@@ -61,11 +60,10 @@ func parseConfig(args []string) (*config, error) {
 	fs.StringVar(&c.csvDir, "csv", "", "directory to write per-experiment CSV files")
 	fs.Uint64Var(&c.seed, "seed", 1, "random seed")
 	fs.IntVar(&c.parallel, "parallel", 0, "experiment worker count: 1 = serial, 0 = auto (NOWBENCH_PARALLEL, then GOMAXPROCS)")
-	fs.IntVar(&c.shards, "world-shards", 1, "lockable state segments per experiment world (tables are byte-identical at any value; the harness drives ops serially, so this exercises the sharded layout rather than speeding tables up)")
 	fs.BoolVar(&c.grouped, "grouped-cascade", false, "batch leave cascades into one grouped shuffle round per leave (~|C| write footprint instead of ~|C|^2; changes measured costs, tables stay deterministic)")
 	fs.BoolVar(&c.exact, "exact-samples", false, "retain full per-operation cost histories (metrics.Sample) instead of fixed-memory sketches; reproduces pre-sketch tables byte for byte but memory grows with the operation count — avoid with -max-n")
 	fs.IntVar(&c.maxN, "max-n", 0, "extend the N sweep by doubling the top size up to this bound (e.g. 65536 for the 2^16 separation sweep, 1048576 for the 2^20 run); must be a power-of-two multiple of the scale's top size; 0 keeps the selected scale's grid")
-	fs.IntVar(&c.opsPerStep, "ops-per-step", 0, "batch this many adversary-cell operations per time step through the concurrent op scheduler (A2/A4 run hooked on the sharded world at full plan parallelism; a deterministic but distinct trajectory from the classic driver, and per-operation cost columns are unavailable); 0/1 keeps the classic driver and the recorded baseline tables")
+	fs.IntVar(&c.opsPerStep, "ops-per-step", 0, "batch this many adversary-cell operations per time step through the op scheduler (A2/A4 run hooked; a deterministic but distinct trajectory from the classic driver, and per-operation cost columns are unavailable); 0/1 keeps the classic driver and the recorded baseline tables")
 	fs.StringVar(&c.checkpoint, "checkpoint", "", "per-cell result journal: completed sweep cells are appended here and served from it on the next run, so an interrupted sweep resumes from its last completed cell with byte-identical tables; the journal is bound to the run configuration (seed/scale/mode flags) and refuses to resume under a different one")
 	fs.StringVar(&c.benchJSON, "bench-json", "", "write per-cell wall-clock timings (from the -checkpoint journal) as JSON, so future changes prove speedups against a recorded trajectory; requires -checkpoint")
 	if err := fs.Parse(args); err != nil {
@@ -93,11 +91,13 @@ func parseConfig(args []string) (*config, error) {
 // fingerprint identifies the run configuration a checkpoint journal is
 // bound to: everything cell results depend on. Parallelism is absent by
 // design (cells are byte-identical at any worker count); the CSV
-// directory only affects where tables are copied.
+// directory only affects where tables are copied. The literal shards=1
+// field is kept so journals recorded when worlds had a shard count (always
+// 1 for the harness by default) still resume.
 func (c *config) fingerprint(scale nowover.ExperimentScale) string {
-	fp := fmt.Sprintf("ns=%v of=%g trials=%d walks=%d seed=%d exact=%v shards=%d grouped=%v",
+	fp := fmt.Sprintf("ns=%v of=%g trials=%d walks=%d seed=%d exact=%v shards=1 grouped=%v",
 		scale.Ns, scale.OpsFactor, scale.Trials, scale.Walks,
-		scale.Seed, scale.ExactSamples, c.shards, c.grouped)
+		scale.Seed, scale.ExactSamples, scale.GroupedCascade)
 	// The batched-driver marker is appended only when active so journals
 	// recorded before the flag existed (ops-per-step 0) still resume.
 	if scale.OpsPerStep > 1 {
@@ -135,6 +135,7 @@ func (c *config) scale() (nowover.ExperimentScale, error) {
 	scale.Seed = c.seed
 	scale.ExactSamples = c.exact
 	scale.OpsPerStep = c.opsPerStep
+	scale.GroupedCascade = c.grouped
 	if c.maxN > 0 {
 		return scale.ExtendTo(c.maxN)
 	}
@@ -155,15 +156,13 @@ func run(args []string) error {
 	}
 
 	nowover.SetParallelism(c.parallel)
-	nowover.SetWorldShards(c.shards)
-	nowover.SetGroupedCascade(c.grouped)
 
 	scale, err := c.scale()
 	if err != nil {
 		return err
 	}
-	fmt.Printf("nowbench: %d worker(s), %d world shard(s), grouped-cascade=%v, samples=%s, Ns=%v\n\n",
-		nowover.Parallelism(), nowover.WorldShards(), nowover.GroupedCascade(),
+	fmt.Printf("nowbench: %d worker(s), grouped-cascade=%v, samples=%s, Ns=%v\n\n",
+		nowover.Parallelism(), scale.GroupedCascade,
 		map[bool]string{false: "sketch", true: "exact"}[c.exact], scale.Ns)
 
 	if c.checkpoint != "" {

@@ -1,6 +1,9 @@
 package main
 
 import (
+	"bufio"
+	"encoding/json"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -16,7 +19,7 @@ func TestParseConfigDefaults(t *testing.T) {
 	if !reflect.DeepEqual(c.selected, nowover.ExperimentIDs()) {
 		t.Errorf("default selection = %v, want all experiment IDs", c.selected)
 	}
-	if c.seed != 1 || c.shards != 1 || c.full || c.exact || c.maxN != 0 {
+	if c.seed != 1 || c.grouped || c.full || c.exact || c.maxN != 0 {
 		t.Errorf("unexpected defaults: %+v", c)
 	}
 }
@@ -104,5 +107,39 @@ func TestParseConfigMaxN2e20(t *testing.T) {
 	}
 	if _, err := parseConfig([]string{"-full", "-max-n", "100"}); err == nil {
 		t.Error("parseConfig(-max-n below grid top) must error")
+	}
+}
+
+// TestSweepJournalFingerprintPinned pins the header of the committed
+// 2^20 sweep journal: at default flags, -full -max-n 1048576 must produce
+// exactly the fingerprint the journal was recorded under, or resuming it
+// is refused.
+func TestSweepJournalFingerprintPinned(t *testing.T) {
+	f, err := os.Open("../../results/sweep2e20.journal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	sc := bufio.NewScanner(f)
+	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
+	if !sc.Scan() {
+		t.Fatalf("journal has no header: %v", sc.Err())
+	}
+	var header struct {
+		Fingerprint string `json:"fingerprint"`
+	}
+	if err := json.Unmarshal(sc.Bytes(), &header); err != nil {
+		t.Fatalf("journal header: %v", err)
+	}
+	c, err := parseConfig([]string{"-full", "-max-n", "1048576"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	scale, err := c.scale()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := c.fingerprint(scale); got != header.Fingerprint {
+		t.Errorf("fingerprint %q, journal header %q", got, header.Fingerprint)
 	}
 }

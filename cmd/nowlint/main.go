@@ -1,7 +1,7 @@
 // Command nowlint runs the determinism-contract static-analysis suite
 // (internal/lint) over the module: the mechanical enforcement of the
 // repo's load-bearing invariant that simulation output is byte-identical
-// at any parallelism or shard count.
+// at any parallelism.
 //
 // Examples:
 //

@@ -40,7 +40,6 @@ type config struct {
 	every      int
 	runs       int
 	parallel   int
-	shards     int
 	opsPerStep int
 	grouped    bool
 	exact      bool
@@ -66,8 +65,7 @@ func parseConfig(args []string) (*config, error) {
 	fs.IntVar(&c.every, "report", 0, "print an audit every k steps (default steps/10)")
 	fs.IntVar(&c.runs, "runs", 1, "independent replicas to run (seeds seed..seed+runs-1)")
 	fs.IntVar(&c.parallel, "parallel", 0, "worker count for -runs: 1 = serial, 0 = auto (NOWBENCH_PARALLEL, then GOMAXPROCS)")
-	fs.IntVar(&c.shards, "world-shards", 1, "lockable world-state segments: 1 = serial layout, n > 1 enables intra-world concurrency (results identical at any value)")
-	fs.IntVar(&c.opsPerStep, "ops-per-step", 1, "operations per time step: > 1 batches them through the concurrent op scheduler (incompatible with -attack hijacking)")
+	fs.IntVar(&c.opsPerStep, "ops-per-step", 1, "operations per time step: > 1 batches them through the op scheduler")
 	fs.BoolVar(&c.grouped, "grouped-cascade", false, "batch each leave's cascade into one grouped shuffle round over the receiver set (~|C| write footprint instead of ~|C|^2)")
 	fs.BoolVar(&c.exact, "exact-samples", false, "retain full per-operation cost histories instead of fixed-memory sketches (pre-sketch output byte for byte; memory grows with -steps)")
 	if err := fs.Parse(args); err != nil {
@@ -108,7 +106,6 @@ func (c *config) simConfig(runSeed uint64) (nowover.SimConfig, error) {
 	}
 	cfg.Core.Seed = runSeed
 	cfg.Core.K = c.k
-	cfg.Core.Shards = c.shards
 	cfg.Core.GroupedCascade = c.grouped
 	cfg.OpsPerStep = c.opsPerStep
 	if c.noShuffle {
@@ -179,8 +176,8 @@ func run(args []string) error {
 		return err
 	}
 
-	fmt.Printf("nowsim: N=%d n0=%d tau=%.2f K=%.1f steps=%d schedule=%s attack=%s shuffle=%v merge=%s shards=%d ops/step=%d grouped-cascade=%v\n",
-		c.maxN, c.n0, c.tau, c.k, c.steps, c.schedule, c.attack, !c.noShuffle, c.merge, c.shards, c.opsPerStep, c.grouped)
+	fmt.Printf("nowsim: N=%d n0=%d tau=%.2f K=%.1f steps=%d schedule=%s attack=%s shuffle=%v merge=%s ops/step=%d grouped-cascade=%v\n",
+		c.maxN, c.n0, c.tau, c.k, c.steps, c.schedule, c.attack, !c.noShuffle, c.merge, c.opsPerStep, c.grouped)
 	fmt.Printf("cluster size target %d (split >%d, merge <%d), overlay degree target %d (cap %d)\n\n",
 		refCfg.Core.TargetClusterSize(), refCfg.Core.SplitThreshold(), refCfg.Core.MergeThreshold(),
 		refCfg.Core.TargetDegree(), refCfg.Core.DegreeCap())

@@ -39,7 +39,7 @@ func fillExchangeBatch(w *World, r *xrand.Rand, ops []Op, n int) []Op {
 // Exchanges are the lean regime (no splits, merges or cascades); churn ops
 // pay occasional amortized structural work and are benchmarked instead.
 func TestHotPathAllocsSteadyState(t *testing.T) {
-	w := newTestWorld(t, 1, 42)
+	w := newTestWorld(t, 42)
 	r := xrand.New(7)
 	var ops []Op
 	var res []OpResult
@@ -66,7 +66,7 @@ func TestHotPathAllocsSteadyState(t *testing.T) {
 // world recycles its cluster copies through the view's free list instead
 // of growing fresh ones.
 func TestSnapshotCowAllocFree(t *testing.T) {
-	w := newTestWorld(t, 1, 11)
+	w := newTestWorld(t, 11)
 	ctx, err := newPlanContext(w)
 	if err != nil {
 		t.Fatal(err)
@@ -98,7 +98,7 @@ func TestSnapshotCowAllocFree(t *testing.T) {
 // -benchmem and allocs/op must stay at 0 (the CI benchmem job enforces
 // this).
 func BenchmarkExecBatchExchange(b *testing.B) {
-	w := newTestWorld(b, 1, 42)
+	w := newTestWorld(b, 42)
 	r := xrand.New(7)
 	var ops []Op
 	var res []OpResult
@@ -120,7 +120,7 @@ func BenchmarkExecBatchExchange(b *testing.B) {
 // scratch records. Warm, it must stay at 0 allocs/op (CI-enforced), since
 // every planned op takes one snapshot per cluster it reads.
 func BenchmarkSnapshotClusterInto(b *testing.B) {
-	w := newTestWorld(b, 1, 11)
+	w := newTestWorld(b, 11)
 	ctx, err := newPlanContext(w)
 	if err != nil {
 		b.Fatal(err)
@@ -156,7 +156,7 @@ func BenchmarkSnapshotClusterInto(b *testing.B) {
 // not per-op garbage; the number to watch is its allocs/op staying small
 // and flat, not zero.
 func BenchmarkExecBatchChurn(b *testing.B) {
-	w := newTestWorld(b, 1, 42)
+	w := newTestWorld(b, 42)
 	r := xrand.New(7)
 	var ops []Op
 	var res []OpResult

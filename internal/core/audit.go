@@ -61,42 +61,38 @@ func (w *World) Audit() Audit {
 		SizeHi:   w.cfg.SplitThreshold(),
 	}
 	first := true
-	for _, s := range w.shards {
-		s.mu.RLock()
-		// Ascending slot walk = ascending ClusterID within the shard:
-		// min/max/fraction folds are commutative, but the audit is part of
-		// rendered output and the determinism contract is cheaper to hold
-		// uniformly than to re-prove per fold.
-		for _, cs := range s.clusters {
-			if cs == nil {
-				continue
+	// Ascending slot walk = ascending ClusterID: min/max/fraction folds are
+	// commutative, but the audit is part of rendered output and the
+	// determinism contract is cheaper to hold uniformly than to re-prove
+	// per fold.
+	for _, cs := range w.arena.clusters {
+		if cs == nil {
+			continue
+		}
+		size := len(cs.members)
+		if first {
+			a.MinSize, a.MaxSize = size, size
+			first = false
+		} else {
+			if size < a.MinSize {
+				a.MinSize = size
 			}
-			size := len(cs.members)
-			if first {
-				a.MinSize, a.MaxSize = size, size
-				first = false
-			} else {
-				if size < a.MinSize {
-					a.MinSize = size
-				}
-				if size > a.MaxSize {
-					a.MaxSize = size
-				}
-			}
-			if size > 0 {
-				if f := float64(cs.byz) / float64(size); f > a.MaxByzFraction {
-					a.MaxByzFraction = f
-				}
-			}
-			switch randnum.Classify(size, cs.byz) {
-			case randnum.Degraded:
-				a.Degraded++
-			case randnum.Captured:
-				a.Captured++
-				a.Degraded++ // captured clusters are degraded too
+			if size > a.MaxSize {
+				a.MaxSize = size
 			}
 		}
-		s.mu.RUnlock()
+		if size > 0 {
+			if f := float64(cs.byz) / float64(size); f > a.MaxByzFraction {
+				a.MaxByzFraction = f
+			}
+		}
+		switch randnum.Classify(size, cs.byz) {
+		case randnum.Degraded:
+			a.Degraded++
+		case randnum.Captured:
+			a.Captured++
+			a.Degraded++ // captured clusters are degraded too
+		}
 	}
 	g := w.overlay.Graph()
 	a.MinDegree = g.MinDegree()
@@ -113,121 +109,105 @@ func (w *World) OverlayHealth(spectralIters, randomCuts int) over.Health {
 }
 
 // CheckConsistency exhaustively cross-checks the world's redundant
-// bookkeeping (membership indexes, Byzantine counts, per-shard size
-// multisets and max trackers, the incremental security classes and
-// insecure counters, arena slot placement, overlay/partition
-// correspondence). Used by tests and the simulator's paranoid mode;
-// returns the first inconsistency found. All walks run in ascending
-// slot (= ascending ID) order, so which inconsistency is reported first
-// is a function of the state, not of any map hash seed.
+// bookkeeping (membership indexes, Byzantine counts, the size multiset and
+// max tracker, the incremental security classes and insecure counters,
+// arena slot placement, overlay/partition correspondence). Used by tests
+// and the simulator's paranoid mode; returns the first inconsistency
+// found. All walks run in ascending slot (= ascending ID) order, so which
+// inconsistency is reported first is a function of the state, not of any
+// map hash seed.
 func (w *World) CheckConsistency() error {
 	nodeRecords := 0
-	for _, ns := range w.nodeShards {
-		present := 0
-		for _, info := range ns.nodes {
-			if info.present {
-				present++
-			}
+	for _, info := range w.nodes {
+		if info.present {
+			nodeRecords++
 		}
-		if present != ns.count {
-			return fmt.Errorf("consistency: node shard %d counts %d records, actual %d", ns.index, ns.count, present)
-		}
-		nodeRecords += present
+	}
+	if nodeRecords != w.nodeCount {
+		return fmt.Errorf("consistency: node index counts %d records, actual %d", w.nodeCount, nodeRecords)
 	}
 	if len(w.allNodes) != nodeRecords {
 		return fmt.Errorf("consistency: %d indexed nodes vs %d records", len(w.allNodes), nodeRecords)
 	}
+	a := &w.arena
 	totalMembers := 0
 	totalClusters := 0
 	maxSize := 0
-	for si, s := range w.shards {
-		shardMax := 0
-		liveSlots := 0
-		degraded, captured := 0, 0
-		sizes := make([]int32, len(s.sizeCount))
-		queued := make(map[int32]bool, len(s.dirtySlots))
-		for _, slot := range s.dirtySlots {
-			queued[slot] = true
+	degraded, captured := 0, 0
+	sizes := make([]int32, len(a.sizeCount))
+	queued := make(map[int32]bool, len(a.dirtySlots))
+	for _, slot := range a.dirtySlots {
+		queued[slot] = true
+	}
+	for slot, cs := range a.clusters {
+		if cs == nil {
+			continue
 		}
-		for slot, cs := range s.clusters {
-			if cs == nil {
-				continue
+		c := ids.ClusterID(slot)
+		if !w.overlay.Has(c) {
+			return fmt.Errorf("consistency: cluster %v missing from overlay", c)
+		}
+		byz := 0
+		for _, x := range cs.members {
+			info, ok := w.nodeInfoOf(x)
+			if !ok {
+				return fmt.Errorf("consistency: member %v of %v unknown", x, c)
 			}
-			c := s.idAt(slot)
-			liveSlots++
-			if !w.overlay.Has(c) {
-				return fmt.Errorf("consistency: cluster %v missing from overlay", c)
+			if info.cluster != c {
+				return fmt.Errorf("consistency: node %v thinks it is in %v, member list says %v", x, info.cluster, c)
 			}
-			byz := 0
-			for _, x := range cs.members {
-				info, ok := w.nodeInfoOf(x)
-				if !ok {
-					return fmt.Errorf("consistency: member %v of %v unknown", x, c)
-				}
-				if info.cluster != c {
-					return fmt.Errorf("consistency: node %v thinks it is in %v, member list says %v", x, info.cluster, c)
-				}
-				if info.byz {
-					byz++
-				}
-			}
-			if byz != cs.byz {
-				return fmt.Errorf("consistency: cluster %v byz count %d, actual %d", c, cs.byz, byz)
-			}
-			want := randnum.Secure
-			if len(cs.members) > 0 {
-				want = randnum.Classify(len(cs.members), cs.byz)
-			}
-			if cs.sec != want {
-				return fmt.Errorf("consistency: cluster %v live class %v, actual %v", c, cs.sec, want)
-			}
-			if cs.sec >= randnum.Degraded {
-				degraded++
-			}
-			if cs.sec == randnum.Captured {
-				captured++
-			}
-			if cs.dirty && !queued[int32(slot)] {
-				return fmt.Errorf("consistency: cluster %v dirty but not queued for settle", c)
-			}
-			totalMembers += len(cs.members)
-			totalClusters++
-			if len(cs.members) > shardMax {
-				shardMax = len(cs.members)
-			}
-			if n := len(cs.members); n > 0 {
-				if n >= len(sizes) {
-					sizes = append(sizes, make([]int32, n+1-len(sizes))...)
-				}
-				sizes[n]++
+			if info.byz {
+				byz++
 			}
 		}
-		if liveSlots != s.liveSlots {
-			return fmt.Errorf("consistency: shard %d tracks %d live slots, actual %d", si, s.liveSlots, liveSlots)
+		if byz != cs.byz {
+			return fmt.Errorf("consistency: cluster %v byz count %d, actual %d", c, cs.byz, byz)
 		}
-		if degraded != s.degraded || captured != s.captured {
-			return fmt.Errorf("consistency: shard %d insecure counters %d/%d, actual %d/%d",
-				si, s.degraded, s.captured, degraded, captured)
+		want := randnum.Secure
+		if len(cs.members) > 0 {
+			want = randnum.Classify(len(cs.members), cs.byz)
 		}
-		if shardMax != s.maxSize {
-			return fmt.Errorf("consistency: shard %d tracked max size %d, actual %d", si, s.maxSize, shardMax)
+		if cs.sec != want {
+			return fmt.Errorf("consistency: cluster %v live class %v, actual %v", c, cs.sec, want)
 		}
-		if shardMax > maxSize {
-			maxSize = shardMax
+		if cs.sec >= randnum.Degraded {
+			degraded++
 		}
-		for sz := range sizes {
-			var got int32
-			if sz < len(s.sizeCount) {
-				got = s.sizeCount[sz]
+		if cs.sec == randnum.Captured {
+			captured++
+		}
+		if cs.dirty && !queued[int32(slot)] {
+			return fmt.Errorf("consistency: cluster %v dirty but not queued for settle", c)
+		}
+		totalMembers += len(cs.members)
+		totalClusters++
+		if n := len(cs.members); n > 0 {
+			maxSize = max(maxSize, n)
+			if n >= len(sizes) {
+				sizes = append(sizes, make([]int32, n+1-len(sizes))...)
 			}
-			if got != sizes[sz] {
-				return fmt.Errorf("consistency: shard %d size multiset at %d is %d, actual %d", si, sz, got, sizes[sz])
-			}
+			sizes[n]++
 		}
-		for sz := len(sizes); sz < len(s.sizeCount); sz++ {
-			if n := s.sizeCount[sz]; n != 0 {
-				return fmt.Errorf("consistency: shard %d size multiset extra entry %d=%d", si, sz, n)
-			}
+	}
+	if degraded != a.degraded || captured != a.captured {
+		return fmt.Errorf("consistency: insecure counters %d/%d, actual %d/%d",
+			a.degraded, a.captured, degraded, captured)
+	}
+	if maxSize != a.maxSize {
+		return fmt.Errorf("consistency: tracked max size %d, actual %d", a.maxSize, maxSize)
+	}
+	for sz := range sizes {
+		var got int32
+		if sz < len(a.sizeCount) {
+			got = a.sizeCount[sz]
+		}
+		if got != sizes[sz] {
+			return fmt.Errorf("consistency: size multiset at %d is %d, actual %d", sz, got, sizes[sz])
+		}
+	}
+	for sz := len(sizes); sz < len(a.sizeCount); sz++ {
+		if n := a.sizeCount[sz]; n != 0 {
+			return fmt.Errorf("consistency: size multiset extra entry %d=%d", sz, n)
 		}
 	}
 	if totalMembers != nodeRecords {
@@ -239,28 +219,23 @@ func (w *World) CheckConsistency() error {
 	if w.overlay.NumVertices() != totalClusters {
 		return fmt.Errorf("consistency: overlay has %d vertices vs %d clusters", w.overlay.NumVertices(), totalClusters)
 	}
-	if maxSize != w.MaxClusterSize() {
-		return fmt.Errorf("consistency: tracked max size %d, actual %d", w.MaxClusterSize(), maxSize)
-	}
 	for _, x := range w.byzNodes {
 		info, ok := w.nodeInfoOf(x)
 		if !ok || !info.byz {
 			return fmt.Errorf("consistency: byz index entry %v invalid", x)
 		}
 	}
-	for _, ns := range w.nodeShards {
-		for slot, info := range ns.nodes {
-			if !info.present {
-				continue
-			}
-			x := ids.NodeID(uint64(slot)*uint64(ns.stride) + uint64(ns.index))
-			if p := w.samplePos(x); p < 0 || w.allNodes[p] != x {
-				return fmt.Errorf("consistency: node %v missing from flat index", x)
-			}
-			if info.byz {
-				if p := w.byzSamplePos(x); p < 0 || w.byzNodes[p] != x {
-					return fmt.Errorf("consistency: byz node %v missing from index", x)
-				}
+	for slot, info := range w.nodes {
+		if !info.present {
+			continue
+		}
+		x := ids.NodeID(slot)
+		if p := w.samplePos(x); p < 0 || w.allNodes[p] != x {
+			return fmt.Errorf("consistency: node %v missing from flat index", x)
+		}
+		if info.byz {
+			if p := w.byzSamplePos(x); p < 0 || w.byzNodes[p] != x {
+				return fmt.Errorf("consistency: byz node %v missing from index", x)
 			}
 		}
 	}

@@ -3,7 +3,7 @@ package core
 // The cascade-equivalence test layer: grouped leave cascades
 // (Config.GroupedCascade) rewrite the hottest correctness-critical path
 // of the protocol, so they get the same proof obligations the op
-// scheduler got in sched_test.go — serial/sharded lockstep, determinism,
+// scheduler got in sched_test.go — same-seed lockstep, determinism,
 // invariant preservation — plus the two claims specific to grouping: the
 // write-footprint drop (~|C|^2 -> ~|C| clusters per leave) and the
 // ledger split (cascade traffic separable under metrics.ClassCascade).
@@ -18,11 +18,10 @@ import (
 
 // newCascadeWorld builds a bootstrapped world like newTestWorld, with the
 // leave cascade batched into grouped shuffle rounds.
-func newCascadeWorld(t testing.TB, shards int, seed uint64) *World {
+func newCascadeWorld(t testing.TB, seed uint64) *World {
 	t.Helper()
 	cfg := DefaultConfig(512)
 	cfg.Seed = seed
-	cfg.Shards = shards
 	cfg.GroupedCascade = true
 	w, err := NewWorld(cfg)
 	if err != nil {
@@ -35,70 +34,52 @@ func newCascadeWorld(t testing.TB, shards int, seed uint64) *World {
 }
 
 // TestGroupedCascadeMatchesSerial is the determinism regression for
-// grouped cascades, mirroring TestShardedMatchesSerial: in BOTH cascade
-// modes, a serial-layout world (Shards=1) and a sharded world (Shards=8)
-// fed identical batches must stay in IDENTICAL protocol states — same
-// membership, same stats, same security counters, same ledger totals —
-// with the full invariant layer holding after every batch. The grouped
-// pair and the per-receiver pair run side by side in lockstep, so a
-// grouped-path bug that only shows up against the classic composition
-// (e.g. a stream drawn out of order) diverges here immediately.
+// grouped cascades, mirroring TestBatchRepeatableAcrossRuns: in BOTH
+// cascade modes, two same-seed worlds fed identical batches must stay in
+// IDENTICAL protocol states — same membership, same stats, same security
+// counters, same ledger totals — with the full invariant layer holding
+// after every batch. The grouped pair and the per-receiver pair run side
+// by side, and the ledger split is checked per mode: grouped runs charge
+// the cascade class, the per-receiver composition never does.
 func TestGroupedCascadeMatchesSerial(t *testing.T) {
 	type pair struct {
 		name             string
-		serial, sharded  *World
+		a, b             *World
 		rngA, rngB       *xrand.Rand
 		wantCascadeClass bool
 	}
 	pairs := []*pair{
-		{name: "grouped", serial: newCascadeWorld(t, 1, 42), sharded: newCascadeWorld(t, 8, 42),
+		{name: "grouped", a: newCascadeWorld(t, 42), b: newCascadeWorld(t, 42),
 			rngA: xrand.New(7), rngB: xrand.New(7), wantCascadeClass: true},
-		{name: "per-receiver", serial: newTestWorld(t, 1, 42), sharded: newTestWorld(t, 8, 42),
+		{name: "per-receiver", a: newTestWorld(t, 42), b: newTestWorld(t, 42),
 			rngA: xrand.New(7), rngB: xrand.New(7), wantCascadeClass: false},
 	}
 	batches := 25
 	if testing.Short() {
 		batches = 8
 	}
-	for _, p := range pairs {
-		if fp1, fp8 := worldFingerprint(p.serial), worldFingerprint(p.sharded); fp1 != fp8 {
-			t.Fatalf("%s: bootstrap fingerprints differ:\n%s\nvs\n%s", p.name, fp1, fp8)
-		}
-	}
 	for i := 0; i < batches; i++ {
 		for _, p := range pairs {
-			b1 := randomBatch(p.serial, p.rngA, 8)
-			b8 := randomBatch(p.sharded, p.rngB, 8)
-			res1 := p.serial.ExecBatch(b1)
-			res8 := p.sharded.ExecBatch(b8)
-			for j := range res1 {
-				if res1[j].Node != res8[j].Node || (res1[j].Err == nil) != (res8[j].Err == nil) ||
-					res1[j].Deferred != res8[j].Deferred {
-					t.Fatalf("%s: batch %d op %d diverged: serial=%+v sharded=%+v",
-						p.name, i, j, res1[j], res8[j])
+			resA := p.a.ExecBatch(randomBatch(p.a, p.rngA, 8))
+			resB := p.b.ExecBatch(randomBatch(p.b, p.rngB, 8))
+			for j := range resA {
+				if resA[j].Node != resB[j].Node || (resA[j].Err == nil) != (resB[j].Err == nil) ||
+					resA[j].Deferred != resB[j].Deferred {
+					t.Fatalf("%s: batch %d op %d diverged: %+v vs %+v", p.name, i, j, resA[j], resB[j])
 				}
 			}
-			if fp1, fp8 := worldFingerprint(p.serial), worldFingerprint(p.sharded); fp1 != fp8 {
-				t.Fatalf("%s: state diverged after batch %d:\n--- serial ---\n%s\n--- sharded ---\n%s",
-					p.name, i, fp1, fp8)
+			if fa, fb := worldFingerprint(p.a), worldFingerprint(p.b); fa != fb {
+				t.Fatalf("%s: state diverged after batch %d:\n%s\nvs\n%s", p.name, i, fa, fb)
 			}
-			if err := CheckInvariants(p.serial); err != nil {
-				t.Fatalf("%s: serial invariants after batch %d: %v", p.name, i, err)
-			}
-			if err := CheckInvariants(p.sharded); err != nil {
-				t.Fatalf("%s: sharded invariants after batch %d: %v", p.name, i, err)
+			if err := CheckInvariants(p.a); err != nil {
+				t.Fatalf("%s: invariants after batch %d: %v", p.name, i, err)
 			}
 		}
 	}
 	for _, p := range pairs {
-		if p.serial.Stats() != p.sharded.Stats() {
-			t.Fatalf("%s: final stats diverged:\n%+v\nvs\n%+v", p.name, p.serial.Stats(), p.sharded.Stats())
-		}
-		// The accounting split: grouped runs charge the cascade class,
-		// the per-receiver composition never does.
-		if got := p.serial.Ledger().MessagesBy(metrics.ClassCascade) > 0; got != p.wantCascadeClass {
+		if got := p.a.Ledger().MessagesBy(metrics.ClassCascade) > 0; got != p.wantCascadeClass {
 			t.Errorf("%s: cascade-class traffic present=%v, want %v (total %d)",
-				p.name, got, p.wantCascadeClass, p.serial.Ledger().MessagesBy(metrics.ClassCascade))
+				p.name, got, p.wantCascadeClass, p.a.Ledger().MessagesBy(metrics.ClassCascade))
 		}
 	}
 }
@@ -108,7 +89,7 @@ func TestGroupedCascadeMatchesSerial(t *testing.T) {
 // draws from the same single stream the per-receiver cascade used).
 func TestGroupedCascadeClassicDeterminism(t *testing.T) {
 	run := func() string {
-		w := newCascadeWorld(t, 1, 99)
+		w := newCascadeWorld(t, 99)
 		r := xrand.New(3)
 		for i := 0; i < 30; i++ {
 			if i%3 == 2 {
@@ -215,7 +196,7 @@ func TestGroupedCascadeShrinksLeaveFootprint(t *testing.T) {
 // threshold must still merge correctly — on the scheduler's serial tail,
 // since merges are structural — and leave every invariant intact.
 func TestGroupedCascadeIntoMerge(t *testing.T) {
-	w := newCascadeWorld(t, 8, 5)
+	w := newCascadeWorld(t, 5)
 	r := xrand.New(9)
 	minPop := 2 * w.Config().TargetClusterSize()
 	sawMergeDefer := false
@@ -254,7 +235,7 @@ func TestGroupedCascadeIntoMerge(t *testing.T) {
 // under ClassCascade — so experiments can attribute the cascade's share
 // of a leave. Join-only churn must never charge the cascade class.
 func TestGroupedCascadeLedgerSplit(t *testing.T) {
-	w := newCascadeWorld(t, 1, 31)
+	w := newCascadeWorld(t, 31)
 	if got := w.Ledger().MessagesBy(metrics.ClassCascade); got != 0 {
 		t.Fatalf("bootstrap charged %d cascade messages", got)
 	}

@@ -31,7 +31,7 @@ func TestClusterStateRemoveLast(t *testing.T) {
 		t.Fatalf("state not empty after removing all: %v", cs.members)
 	}
 	// The emptied record must RETAIN its backing array: retired records
-	// return to the shard free list and the retained capacity is what
+	// return to the arena free list and the retained capacity is what
 	// makes the recycled record's next fill allocation-free.
 	if cap(cs.members) == 0 {
 		t.Fatal("emptied member list released its backing array")

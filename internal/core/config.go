@@ -116,23 +116,13 @@ type Config struct {
 	// EdgeAttemptFactor bounds edge-placement walk attempts per requested
 	// edge in OVER Add/Remove.
 	EdgeAttemptFactor int
-
-	// Shards is the number of independently lockable segments the world's
-	// cluster-keyed state is partitioned across. 1 is the fully serial
-	// layout (classic behavior, byte-identical under a fixed seed); values
-	// above 1 let the op scheduler (World.ExecBatch) execute operations
-	// with disjoint cluster footprints concurrently. 0 defers to the
-	// package default (SetDefaultShards, normally 1).
-	Shards int
 }
 
-// DefaultConfig returns paper-faithful parameters for maximum size n.
-// GroupedCascade defaults to the paper's per-receiver cascade unless the
-// package default was flipped with SetDefaultGroupedCascade (the harness
-// knob behind the nowbench/nowsim -grouped-cascade flags).
+// DefaultConfig returns paper-faithful parameters for maximum size n,
+// including Algorithm 2's per-receiver leave cascade (GroupedCascade
+// false).
 func DefaultConfig(maxN int) Config {
 	return Config{
-		GroupedCascade:     DefaultGroupedCascade(),
 		N:                  maxN,
 		Seed:               1,
 		K:                  2,
@@ -175,8 +165,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: nil Generator")
 	case c.EdgeAttemptFactor < 1:
 		return fmt.Errorf("core: EdgeAttemptFactor=%d must be >= 1", c.EdgeAttemptFactor)
-	case c.Shards < 0 || c.Shards > 1<<12:
-		return fmt.Errorf("core: Shards=%d outside [0, %d]", c.Shards, 1<<12)
 	}
 	return nil
 }

@@ -12,19 +12,19 @@ import (
 )
 
 // FuzzWorldOps feeds fuzzer-chosen operation scripts through FOUR worlds:
-// a serial-layout (Shards=1) and a sharded (Shards=8) world in each of
-// the two cascade modes (per-receiver and grouped). After every scheduler
-// batch it asserts that (a) the full invariant layer holds in all four
-// and (b) each serial/sharded pair is in bit-identical protocol state —
-// the classic pair exactly as before, the grouped pair pinning the
-// grouped cascade's serial-vs-sharded lockstep under adversarial
-// scripts. The two modes legitimately diverge from EACH OTHER (grouping
-// changes which swaps happen), so cross-mode equality is not asserted;
-// an op that targets a node/cluster present only in one mode's state is
-// tolerated per pair as long as the pair agrees. The script drives
-// joins, leaves, forced exchanges and allegiance flips; splits, merges
-// and transfers are exercised through the operations that trigger them,
-// including on the scheduler's serial tail (see seed-cascade-into-merge).
+// two same-seed worlds in each of the two cascade modes (per-receiver and
+// grouped). After every scheduler batch it asserts that (a) the full
+// invariant layer holds in all four and (b) each same-seed pair is in
+// bit-identical protocol state, so any nondeterminism (a map-iteration
+// order reaching an output, a draw from the wrong stream) surfaces under
+// adversarial scripts. The two modes legitimately diverge from EACH
+// OTHER (grouping changes which swaps happen), so cross-mode equality is
+// not asserted; an op that targets a node/cluster present only in one
+// mode's state is tolerated per pair as long as the pair agrees. The
+// script drives joins, leaves, forced exchanges and allegiance flips;
+// splits, merges and transfers are exercised through the operations that
+// trigger them, including on the scheduler's tail (see
+// seed-cascade-into-merge).
 //
 // Script encoding (one byte per instruction, wrapping reads for params):
 //
@@ -45,10 +45,9 @@ func FuzzWorldOps(f *testing.F) {
 		if len(script) > 128 {
 			script = script[:128]
 		}
-		mk := func(shards int, grouped bool) *World {
+		mk := func(grouped bool) *World {
 			cfg := DefaultConfig(256)
 			cfg.Seed = seed
-			cfg.Shards = shards
 			cfg.GroupedCascade = grouped
 			w, err := NewWorld(cfg)
 			if err != nil {
@@ -60,14 +59,14 @@ func FuzzWorldOps(f *testing.F) {
 			return w
 		}
 		type lockstep struct {
-			name   string
-			s1, s8 *World
+			name string
+			a, b *World
 		}
 		pairs := []lockstep{
-			{"per-receiver", mk(1, false), mk(8, false)},
-			{"grouped", mk(1, true), mk(8, true)},
+			{"per-receiver", mk(false), mk(false)},
+			{"grouped", mk(true), mk(true)},
 		}
-		w1 := pairs[0].s1 // the script's reference state
+		w1 := pairs[0].a // the script's reference state
 		minPop := 2 * w1.Config().TargetClusterSize()
 
 		var pending []Op
@@ -85,24 +84,24 @@ func FuzzWorldOps(f *testing.F) {
 				return
 			}
 			for _, p := range pairs {
-				r1 := p.s1.ExecBatch(pending)
-				r8 := p.s8.ExecBatch(pending)
-				for j := range r1 {
-					if r1[j].Err != nil && !IsUnknownNode(r1[j].Err) && !IsUnknownCluster(r1[j].Err) {
-						t.Fatalf("%s serial op %d: %v", p.name, j, r1[j].Err)
+				ra := p.a.ExecBatch(pending)
+				rb := p.b.ExecBatch(pending)
+				for j := range ra {
+					if ra[j].Err != nil && !IsUnknownNode(ra[j].Err) && !IsUnknownCluster(ra[j].Err) {
+						t.Fatalf("%s op %d: %v", p.name, j, ra[j].Err)
 					}
-					if (r1[j].Err == nil) != (r8[j].Err == nil) || r1[j].Node != r8[j].Node || r1[j].Deferred != r8[j].Deferred {
-						t.Fatalf("%s op %d diverged: serial=%+v sharded=%+v", p.name, j, r1[j], r8[j])
+					if (ra[j].Err == nil) != (rb[j].Err == nil) || ra[j].Node != rb[j].Node || ra[j].Deferred != rb[j].Deferred {
+						t.Fatalf("%s op %d diverged: %+v vs %+v", p.name, j, ra[j], rb[j])
 					}
 				}
-				if err := CheckInvariants(p.s1); err != nil {
-					t.Fatalf("%s serial invariants: %v", p.name, err)
+				if err := CheckInvariants(p.a); err != nil {
+					t.Fatalf("%s invariants: %v", p.name, err)
 				}
-				if err := CheckInvariants(p.s8); err != nil {
-					t.Fatalf("%s sharded invariants: %v", p.name, err)
+				if err := CheckInvariants(p.b); err != nil {
+					t.Fatalf("%s twin invariants: %v", p.name, err)
 				}
-				if a, b := worldFingerprint(p.s1), worldFingerprint(p.s8); a != b {
-					t.Fatalf("%s states diverged:\n--- serial ---\n%s\n--- sharded ---\n%s", p.name, a, b)
+				if a, b := worldFingerprint(p.a), worldFingerprint(p.b); a != b {
+					t.Fatalf("%s states diverged:\n%s\nvs\n%s", p.name, a, b)
 				}
 			}
 			pending = pending[:0]
@@ -152,18 +151,18 @@ func FuzzWorldOps(f *testing.F) {
 					// state (a leave that failed there); both worlds of a
 					// pair agree, so the flip is applied or skipped
 					// pair-consistently.
-					if !p.s1.Contains(x) {
+					if !p.a.Contains(x) {
 						continue
 					}
-					corrupted := !p.s1.IsByzantine(x)
+					corrupted := !p.a.IsByzantine(x)
 					// Keep the tau regime: never corrupt past ~1/3.
-					if corrupted && 3*(p.s1.NumByzantine()+1) > p.s1.NumNodes() {
+					if corrupted && 3*(p.a.NumByzantine()+1) > p.a.NumNodes() {
 						continue
 					}
-					if err := p.s1.SetCorrupted(x, corrupted); err != nil {
+					if err := p.a.SetCorrupted(x, corrupted); err != nil {
 						t.Fatal(err)
 					}
-					if err := p.s8.SetCorrupted(x, corrupted); err != nil {
+					if err := p.b.SetCorrupted(x, corrupted); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -174,11 +173,10 @@ func FuzzWorldOps(f *testing.F) {
 }
 
 // FuzzHookedWorldOps is the hooked sibling of FuzzWorldOps: the same
-// script encoding drives a serial (Shards=1) and a sharded (Shards=8)
-// world that each carry a live JoinLeaveAttack fixation through a
-// CapturedHijacker registered as BOTH walk hijacker and steer hook — the
-// configuration that used to force the one-worker planning fallback. The
-// pair must stay in bit-identical protocol state after every batch, and
+// script encoding drives two same-seed worlds that each carry a live
+// JoinLeaveAttack fixation through a CapturedHijacker registered as BOTH
+// walk hijacker and steer hook. The pair must stay in bit-identical
+// protocol state after every batch, and
 // the hooks' commit-folded bookkeeping (hijacked-walk tallies, committed
 // op counts) must agree exactly, script after script. The bootstrap
 // concentrates corruption in the low slots so captured clusters exist
@@ -186,8 +184,8 @@ func FuzzWorldOps(f *testing.F) {
 // selects the cascade mode so the corpus covers grouped and per-receiver
 // tails. The two checked-in seeds (seed-tail-hijack-*) are verified by
 // TestHookedFuzzSeedsExerciseTailHijack to drive hijacked walks through
-// ops that land on the scheduler's serial tail — the replay path where
-// hook purity is easiest to get wrong.
+// ops that land on the scheduler's tail — the replay path where hook
+// purity is easiest to get wrong.
 func FuzzHookedWorldOps(f *testing.F) {
 	f.Add(uint64(1), []byte{0, 0, 4, 2, 1, 4})
 	f.Add(uint64(7), []byte{0, 2, 0, 3, 5, 4, 2, 2, 2, 3, 4})
@@ -198,7 +196,7 @@ func FuzzHookedWorldOps(f *testing.F) {
 }
 
 // hookedScriptResult summarizes one hooked-script replay for the corpus
-// verification test: whether any op both deferred to the serial tail AND
+// verification test: whether any op both deferred to the tail AND
 // hijacked at least one walk there.
 type hookedScriptResult struct {
 	tailHijacks int64
@@ -210,10 +208,9 @@ func runHookedScript(t *testing.T, seed uint64, script []byte) hookedScriptResul
 		script = script[:128]
 	}
 	grouped := seed&1 == 1
-	mk := func(shards int) (*World, *adversary.CapturedHijacker) {
+	mk := func() (*World, *adversary.CapturedHijacker) {
 		cfg := DefaultConfig(256)
 		cfg.Seed = seed
-		cfg.Shards = shards
 		cfg.GroupedCascade = grouped
 		w, err := NewWorld(cfg)
 		if err != nil {
@@ -232,8 +229,8 @@ func runHookedScript(t *testing.T, seed uint64, script []byte) hookedScriptResul
 		w.SetSteerHook(h)
 		return w, h
 	}
-	w1, h1 := mk(1)
-	w8, h8 := mk(8)
+	w1, h1 := mk()
+	w2, h2 := mk()
 	minPop := 2 * w1.Config().TargetClusterSize()
 	var out hookedScriptResult
 
@@ -252,13 +249,13 @@ func runHookedScript(t *testing.T, seed uint64, script []byte) hookedScriptResul
 			return
 		}
 		r1 := w1.ExecBatch(pending)
-		r8 := w8.ExecBatch(pending)
+		r2 := w2.ExecBatch(pending)
 		for j := range r1 {
 			if r1[j].Err != nil && !IsUnknownNode(r1[j].Err) && !IsUnknownCluster(r1[j].Err) {
-				t.Fatalf("serial op %d: %v", j, r1[j].Err)
+				t.Fatalf("op %d: %v", j, r1[j].Err)
 			}
-			if (r1[j].Err == nil) != (r8[j].Err == nil) || r1[j].Node != r8[j].Node || r1[j].Deferred != r8[j].Deferred {
-				t.Fatalf("op %d diverged: serial=%+v sharded=%+v", j, r1[j], r8[j])
+			if (r1[j].Err == nil) != (r2[j].Err == nil) || r1[j].Node != r2[j].Node || r1[j].Deferred != r2[j].Deferred {
+				t.Fatalf("op %d diverged: %+v vs %+v", j, r1[j], r2[j])
 			}
 			// w1.sched.hijacked holds the per-op tallies the commit step just
 			// folded; a deferred op with a nonzero tally is a tail hijack.
@@ -267,17 +264,17 @@ func runHookedScript(t *testing.T, seed uint64, script []byte) hookedScriptResul
 			}
 		}
 		if err := CheckInvariants(w1); err != nil {
-			t.Fatalf("serial invariants: %v", err)
+			t.Fatalf("invariants: %v", err)
 		}
-		if err := CheckInvariants(w8); err != nil {
-			t.Fatalf("sharded invariants: %v", err)
+		if err := CheckInvariants(w2); err != nil {
+			t.Fatalf("twin invariants: %v", err)
 		}
-		if a, b := worldFingerprint(w1), worldFingerprint(w8); a != b {
-			t.Fatalf("states diverged:\n--- serial ---\n%s\n--- sharded ---\n%s", a, b)
+		if a, b := worldFingerprint(w1), worldFingerprint(w2); a != b {
+			t.Fatalf("states diverged:\n%s\nvs\n%s", a, b)
 		}
-		if h1.Hijacked != h8.Hijacked || h1.CommittedOps != h8.CommittedOps {
+		if h1.Hijacked != h2.Hijacked || h1.CommittedOps != h2.CommittedOps {
 			t.Fatalf("hook bookkeeping diverged: hijacked %d/%d ops %d/%d",
-				h1.Hijacked, h8.Hijacked, h1.CommittedOps, h8.CommittedOps)
+				h1.Hijacked, h2.Hijacked, h1.CommittedOps, h2.CommittedOps)
 		}
 		pending = pending[:0]
 		victims = make(map[uint64]bool)
@@ -331,7 +328,7 @@ func runHookedScript(t *testing.T, seed uint64, script []byte) hookedScriptResul
 			if err := w1.SetCorrupted(x, corrupted); err != nil {
 				t.Fatal(err)
 			}
-			if err := w8.SetCorrupted(x, corrupted); err != nil {
+			if err := w2.SetCorrupted(x, corrupted); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -368,7 +365,7 @@ func readHookedCorpusSeed(t *testing.T, name string) (uint64, []byte) {
 
 // TestHookedFuzzSeedsExerciseTailHijack pins the reason the two
 // seed-tail-hijack-* corpus entries are checked in: each must drive at
-// least one op that BOTH falls to the scheduler's serial tail AND
+// least one op that BOTH falls to the scheduler's tail AND
 // hijacks walks while replaying there — one per cascade mode. If a
 // scheduler change stops these scripts from reaching the hooked tail,
 // the corpus has silently lost its coverage and new seeds must be hunted
@@ -387,7 +384,7 @@ func TestHookedFuzzSeedsExerciseTailHijack(t *testing.T) {
 		}
 		res := runHookedScript(t, seed, script)
 		if res.tailHijacks == 0 {
-			t.Errorf("%s: no hijacked walk ever landed on the serial tail (hijacked=%d total)",
+			t.Errorf("%s: no hijacked walk ever landed on the tail (hijacked=%d total)",
 				tc.name, res.hijacked)
 		}
 	}

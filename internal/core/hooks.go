@@ -3,49 +3,49 @@ package core
 // The adversary hook contract.
 //
 // Hijack and steer hooks are consulted from inside walks, and the op
-// scheduler plans every op of a batch on concurrent workers — so hook
-// DECISIONS and hook BOOKKEEPING live on opposite sides of a batch
-// boundary:
+// scheduler plans every op of a batch against the pre-batch snapshot
+// before applying any of them — so hook DECISIONS and hook BOOKKEEPING
+// live on opposite sides of a batch boundary:
 //
 //   - Phase 1 (plan): Redirect/Score calls are PURE reads. A hook may
 //     read its own snapshot-scoped decision state (fixed before the batch
 //     started) and the per-op substream handed to Redirect; it must not
-//     write anything reachable from another op's calls. The pre-batch
-//     world is quiescent during planning, so reading it (e.g. a target
-//     liveness check) is deterministic too.
-//   - Batch lifecycle (serial): a hook that also implements BatchHook
-//     gets BeginBatch before Phase 1 — the one place to re-validate or
+//     write anything reachable from another op's calls, or one op's plan
+//     would observe another's and the snapshot semantics would break. The
+//     world is unchanged while the batch plans, so reading it (e.g. a
+//     target liveness check) sees the pre-batch state too.
+//   - Batch lifecycle: a hook that also implements BatchHook gets
+//     BeginBatch before Phase 1 — the one place to re-validate or
 //     re-fixate decision state against the pre-batch world — and CommitOp
-//     once per op, in op order, after the batch's effects (concurrent
-//     applies and the serial tail) are all in place, folded alongside the
-//     scheduler's own order-sensitive bookkeeping (sampling indexes,
-//     ledgers, stats). Ratchet counters and budget spend belong here.
+//     once per op, in op order, after the batch's effects (admitted plans
+//     and the tail) are all in place, folded alongside the scheduler's own
+//     order-sensitive bookkeeping (sampling indexes, ledgers, stats).
+//     Ratchet counters and budget spend belong here.
 //
-// Under this contract ExecBatch keeps its unconditional determinism —
-// Shards=1 and Shards=8 worlds produce byte-identical results at any
-// GOMAXPROCS — with hooks installed and planning fully parallel. The
-// classic one-op-per-call path needs no lifecycle calls: it is serial by
-// construction, and the sim drivers refresh strategy state through Decide
-// at every step boundary.
+// Under this contract a hooked ExecBatch is a pure function of the world
+// state and the batch, exactly like an unhooked one. The classic
+// one-op-per-call path needs no lifecycle calls: it applies each op before
+// the next, and the sim drivers refresh strategy state through Decide at
+// every step boundary.
 
 import (
 	"nowover/internal/ids"
 	"nowover/internal/walk"
 )
 
-// BatchHook is the serial lifecycle of an adversary hook across one
-// ExecBatch call (one paper time step). Implemented optionally by the
-// values passed to SetHijacker / SetSteerHook; a hook without it simply
-// has no per-batch state to refresh or fold.
+// BatchHook is the lifecycle of an adversary hook across one ExecBatch
+// call (one paper time step). Implemented optionally by the values passed
+// to SetHijacker / SetSteerHook; a hook without it simply has no
+// per-batch state to refresh or fold.
 type BatchHook interface {
-	// BeginBatch runs serially before Phase 1 plans, against the
-	// quiescent pre-batch world: refresh the snapshot-scoped decision
-	// state the coming batch's Redirect/Score calls will read.
+	// BeginBatch runs before Phase 1 plans, against the pre-batch world:
+	// refresh the snapshot-scoped decision state the coming batch's
+	// Redirect/Score calls will read.
 	BeginBatch()
-	// CommitOp runs serially once per batch op, in op order, after all of
-	// the batch's effects are in place: op index i, whether the op
-	// succeeded, and how many of its walks were hijacked. This is where
-	// hook bookkeeping (ratchets, spend, counters) folds.
+	// CommitOp runs once per batch op, in op order, after all of the
+	// batch's effects are in place: op index i, whether the op succeeded,
+	// and how many of its walks were hijacked. This is where hook
+	// bookkeeping (ratchets, spend, counters) folds.
 	CommitOp(i int, ok bool, hijacked int64)
 }
 

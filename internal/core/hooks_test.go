@@ -13,9 +13,9 @@ import (
 // JoinLeaveAttack fixation feeding a CapturedHijacker that both redirects
 // walks (SetHijacker) and steers randCl scoring (SetSteerHook) — one hook
 // object, both roles, one batch lifecycle.
-func newHookedWorld(t testing.TB, shards int, seed uint64) (*World, *adversary.CapturedHijacker) {
+func newHookedWorld(t testing.TB, seed uint64) (*World, *adversary.CapturedHijacker) {
 	t.Helper()
-	w := newTestWorld(t, shards, seed)
+	w := newTestWorld(t, seed)
 	h := &adversary.CapturedHijacker{
 		View:     w,
 		Strategy: &adversary.JoinLeaveAttack{Budget: adversary.Budget{Tau: 0.25}},
@@ -25,71 +25,67 @@ func newHookedWorld(t testing.TB, shards int, seed uint64) (*World, *adversary.C
 	return w, h
 }
 
-// TestHookedShardedMatchesSerial is the tentpole's determinism regression:
-// a world with a hijacker redirecting walks AND a steer hook biasing
-// randCl draws — the configuration the old scheduler forced onto the
-// one-worker fallback — must now plan at full parallelism and still be
-// byte-identical between Shards=1 and Shards=8, at any GOMAXPROCS. The
-// contract that makes this possible: plan-phase Redirect/Score are pure
-// reads of the pre-batch fixation, and all hook bookkeeping (capture
-// tallies, ratchet refreshes) happens in BeginBatch/CommitOp, which the
-// scheduler drives serially in op order.
+// TestHookedShardedMatchesSerial is the hooked sibling of
+// TestShardedMatchesSerial, and keeps its name from the same shard
+// comparison: a world with a hijacker redirecting walks AND a steer hook
+// biasing randCl draws, fed the same batches as a same-seed twin, must
+// stay byte-identical to it after every batch, down to the hook counters,
+// at any GOMAXPROCS. The contract that makes this hold: plan-phase
+// Redirect/Score are pure reads of the pre-batch fixation, and all hook
+// bookkeeping (capture tallies, ratchet refreshes) happens in
+// BeginBatch/CommitOp, which the scheduler drives in op order. The run
+// must also actually exercise the hooked paths — hijacked walks, the tail
+// — and the commit fold must account for every hijacked walk.
 func TestHookedShardedMatchesSerial(t *testing.T) {
 	for _, procs := range []int{1, 4} {
 		t.Run(fmt.Sprintf("gomaxprocs=%d", procs), func(t *testing.T) {
 			prev := runtime.GOMAXPROCS(procs)
 			defer runtime.GOMAXPROCS(prev)
 
-			serial, hs := newHookedWorld(t, 1, 42)
-			sharded, h8 := newHookedWorld(t, 8, 42)
-			if fp1, fp8 := worldFingerprint(serial), worldFingerprint(sharded); fp1 != fp8 {
-				t.Fatalf("bootstrap fingerprints differ:\n%s\nvs\n%s", fp1, fp8)
+			a, ha := newHookedWorld(t, 42)
+			b, hb := newHookedWorld(t, 42)
+			if fa, fb := worldFingerprint(a), worldFingerprint(b); fa != fb {
+				t.Fatalf("bootstrap fingerprints differ:\n%s\nvs\n%s", fa, fb)
 			}
-			rs := xrand.New(7)
-			r8 := xrand.New(7)
+			ra, rb := xrand.New(7), xrand.New(7)
 			batches := 25
 			if testing.Short() {
 				batches = 8
 			}
 			deferred := false
 			for i := 0; i < batches; i++ {
-				b1 := randomBatch(serial, rs, 8)
-				b8 := randomBatch(sharded, r8, 8)
-				res1 := serial.ExecBatch(b1)
-				res8 := sharded.ExecBatch(b8)
-				for j := range res1 {
-					e1, e8 := fmt.Sprint(res1[j].Err), fmt.Sprint(res8[j].Err)
-					if res1[j].Node != res8[j].Node || e1 != e8 || res1[j].Deferred != res8[j].Deferred {
-						t.Fatalf("batch %d op %d diverged: serial=%+v sharded=%+v", i, j, res1[j], res8[j])
+				resA := a.ExecBatch(randomBatch(a, ra, 8))
+				resB := b.ExecBatch(randomBatch(b, rb, 8))
+				for j := range resA {
+					ea, eb := fmt.Sprint(resA[j].Err), fmt.Sprint(resB[j].Err)
+					if resA[j].Node != resB[j].Node || ea != eb || resA[j].Deferred != resB[j].Deferred {
+						t.Fatalf("batch %d op %d diverged: %+v vs %+v", i, j, resA[j], resB[j])
 					}
-					deferred = deferred || res1[j].Deferred
+					deferred = deferred || resA[j].Deferred
 				}
-				if fp1, fp8 := worldFingerprint(serial), worldFingerprint(sharded); fp1 != fp8 {
-					t.Fatalf("state diverged after batch %d:\n--- serial ---\n%s\n--- sharded ---\n%s", i, fp1, fp8)
+				if fa, fb := worldFingerprint(a), worldFingerprint(b); fa != fb {
+					t.Fatalf("state diverged after batch %d:\n%s\nvs\n%s", i, fa, fb)
 				}
-				if hs.Hijacked != h8.Hijacked || hs.CommittedOps != h8.CommittedOps {
+				if ha.Hijacked != hb.Hijacked || ha.CommittedOps != hb.CommittedOps {
 					t.Fatalf("hook bookkeeping diverged after batch %d: hijacked %d/%d ops %d/%d",
-						i, hs.Hijacked, h8.Hijacked, hs.CommittedOps, h8.CommittedOps)
+						i, ha.Hijacked, hb.Hijacked, ha.CommittedOps, hb.CommittedOps)
 				}
-				if err := CheckInvariants(serial); err != nil {
-					t.Fatalf("serial invariants after batch %d: %v", i, err)
-				}
-				if err := CheckInvariants(sharded); err != nil {
-					t.Fatalf("sharded invariants after batch %d: %v", i, err)
+				if err := CheckInvariants(a); err != nil {
+					t.Fatalf("invariants after batch %d: %v", i, err)
 				}
 			}
-			if serial.Stats() != sharded.Stats() {
-				t.Fatalf("final stats diverged:\n%+v\nvs\n%+v", serial.Stats(), sharded.Stats())
+			if a.Stats() != b.Stats() {
+				t.Fatalf("final stats diverged:\n%+v\nvs\n%+v", a.Stats(), b.Stats())
 			}
-			if serial.Stats().HijackedWalks == 0 {
+			if a.Stats().HijackedWalks == 0 {
 				t.Fatal("hooked run hijacked no walks: the redirect path never ran")
 			}
-			if hs.Hijacked != serial.Stats().HijackedWalks {
+			if ha.Hijacked != a.Stats().HijackedWalks {
 				t.Fatalf("commit fold lost walks: hook saw %d, world recorded %d",
-					hs.Hijacked, serial.Stats().HijackedWalks)
+					ha.Hijacked, a.Stats().HijackedWalks)
 			}
 			if !deferred {
-				t.Fatal("no op ever deferred: the hooked serial-tail path never ran")
+				t.Fatal("no op ever deferred: the hooked tail path never ran")
 			}
 		})
 	}
@@ -100,7 +96,7 @@ func TestHookedShardedMatchesSerial(t *testing.T) {
 // sibling of TestBatchRepeatableAcrossRuns).
 func TestHookedRepeatableAcrossRuns(t *testing.T) {
 	run := func() (string, int64, int64) {
-		w, h := newHookedWorld(t, 8, 1234)
+		w, h := newHookedWorld(t, 1234)
 		r := xrand.New(5)
 		for i := 0; i < 10; i++ {
 			w.ExecBatch(randomBatch(w, r, 6))
@@ -119,7 +115,7 @@ func TestHookedRepeatableAcrossRuns(t *testing.T) {
 // steerer must see exactly one BeginBatch/CommitOp stream, and replacing
 // or clearing hooks must detach the lifecycle.
 func TestHookLifecycleDedup(t *testing.T) {
-	w := newTestWorld(t, 1, 9)
+	w := newTestWorld(t, 9)
 	h := &adversary.CapturedHijacker{
 		View:     w,
 		Strategy: &adversary.JoinLeaveAttack{Budget: adversary.Budget{Tau: 0.25}},
@@ -150,7 +146,7 @@ func TestHookLifecycleDedup(t *testing.T) {
 // probe, Redirect/Score are pure reads, and CommitOp folds into existing
 // counters.
 func BenchmarkExecBatchHookedExchange(b *testing.B) {
-	w, _ := newHookedWorld(b, 1, 42)
+	w, _ := newHookedWorld(b, 42)
 	r := xrand.New(7)
 	var ops []Op
 	var res []OpResult

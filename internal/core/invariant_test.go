@@ -16,16 +16,12 @@ func requireInvariants(t testing.TB, w *World) {
 }
 
 func TestInvariantsHoldAtBootstrap(t *testing.T) {
-	for _, shards := range []int{1, 8} {
-		w := newTestWorld(t, shards, 5)
-		requireInvariants(t, w)
-	}
+	requireInvariants(t, newTestWorld(t, 5))
 }
 
 // TestInvariantsAfterRandomOps drives randomized operation sequences —
 // batched through the op scheduler plus interleaved classic ops — and
-// asserts CheckInvariants after every step, in both the serial (Shards=1)
-// and sharded (Shards=8) execution modes. This is the reusable
+// asserts CheckInvariants after every step. This is the reusable
 // invariant-layer entry point the ISSUE asks for: any future maintenance
 // change that can corrupt membership, Byzantine counts, size bounds or the
 // overlay/partition correspondence fails here first.
@@ -34,28 +30,26 @@ func TestInvariantsAfterRandomOps(t *testing.T) {
 	if testing.Short() {
 		seeds = seeds[:2]
 	}
-	for _, shards := range []int{1, 8} {
-		for _, seed := range seeds {
-			w := newTestWorld(t, shards, seed)
-			r := xrand.New(seed ^ 0xBEEF)
-			for step := 0; step < 12; step++ {
-				switch r.Intn(3) {
-				case 0:
-					w.ExecBatch(randomBatch(w, r, 1+r.Intn(8)))
-				case 1:
-					if _, err := w.JoinAuto(r.Bool(0.2)); err != nil {
-						t.Fatalf("shards=%d seed=%d: %v", shards, seed, err)
-					}
-				case 2:
-					if x, ok := w.RandomNode(r); ok {
-						if err := w.Leave(x); err != nil {
-							t.Fatalf("shards=%d seed=%d: %v", shards, seed, err)
-						}
+	for _, seed := range seeds {
+		w := newTestWorld(t, seed)
+		r := xrand.New(seed ^ 0xBEEF)
+		for step := 0; step < 12; step++ {
+			switch r.Intn(3) {
+			case 0:
+				w.ExecBatch(randomBatch(w, r, 1+r.Intn(8)))
+			case 1:
+				if _, err := w.JoinAuto(r.Bool(0.2)); err != nil {
+					t.Fatalf("seed=%d: %v", seed, err)
+				}
+			case 2:
+				if x, ok := w.RandomNode(r); ok {
+					if err := w.Leave(x); err != nil {
+						t.Fatalf("seed=%d: %v", seed, err)
 					}
 				}
-				if err := CheckInvariants(w); err != nil {
-					t.Fatalf("shards=%d seed=%d step=%d: %v", shards, seed, step, err)
-				}
+			}
+			if err := CheckInvariants(w); err != nil {
+				t.Fatalf("seed=%d step=%d: %v", seed, step, err)
 			}
 		}
 	}
@@ -63,12 +57,11 @@ func TestInvariantsAfterRandomOps(t *testing.T) {
 
 // TestInvariantsWithRejoinMerge exercises the MergeRejoinAll strategy
 // (pending-rejoin queue) under batches: merges run on the scheduler's
-// serial tail and displace nodes that must be re-joined via the classic
+// tail and displace nodes that must be re-joined via the classic
 // path without breaking any index.
 func TestInvariantsWithRejoinMerge(t *testing.T) {
 	cfg := DefaultConfig(512)
 	cfg.Seed = 17
-	cfg.Shards = 8
 	cfg.MergeStrategy = MergeRejoinAll
 	w, err := NewWorld(cfg)
 	if err != nil {
@@ -111,20 +104,18 @@ func TestInvariantsWithRejoinMerge(t *testing.T) {
 // TestCheckInvariantsDetectsBreakage corrupts the bookkeeping directly and
 // confirms the oracle notices — an oracle that cannot fail is worthless.
 func TestCheckInvariantsDetectsBreakage(t *testing.T) {
-	w := newTestWorld(t, 4, 23)
+	w := newTestWorld(t, 23)
 	// Silently drop one member from a cluster's list without touching any
 	// derived index (size multiset, node records, security class):
 	// consistency must flag the mismatch.
-	for _, s := range w.shards {
-		for _, cs := range s.clusters {
-			if cs == nil {
-				continue
-			}
-			cs.members = cs.members[:len(cs.members)-1]
-			if err := CheckInvariants(w); err == nil {
-				t.Fatal("invariant oracle missed a vanished member")
-			}
-			return
+	for _, cs := range w.arena.clusters {
+		if cs == nil {
+			continue
 		}
+		cs.members = cs.members[:len(cs.members)-1]
+		if err := CheckInvariants(w); err == nil {
+			t.Fatal("invariant oracle missed a vanished member")
+		}
+		return
 	}
 }

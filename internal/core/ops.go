@@ -112,7 +112,7 @@ func (w *World) Bootstrap(n0 int, corrupt func(slot int) bool) error {
 // seedNode creates one initial node in cluster c.
 func (w *World) seedNode(c ids.ClusterID, byz bool) {
 	x := w.nodeAlloc.NextNode()
-	if err := w.insertMember(c, x, byz); err != nil {
+	if err := w.arena.insert(c, x, byz); err != nil {
 		panic(err) // bootstrap seeds only clusters it just created
 	}
 	w.registerNode(x, byz, c)
@@ -159,7 +159,7 @@ func (w *World) joinExisting(led *metrics.Ledger, rng *xrand.Rand, x ids.NodeID,
 		w.stats.HijackedWalks++
 	}
 	target := out.End
-	if err := w.insertMember(target, x, byz); err != nil {
+	if err := w.arena.insert(target, x, byz); err != nil {
 		return err
 	}
 	w.registerNode(x, byz, target)
@@ -236,7 +236,7 @@ func (w *World) leaveWith(led *metrics.Ledger, rng *xrand.Rand, x ids.NodeID, se
 	c := info.cluster
 	chargeDeparture(w, led, c)
 
-	if err := w.removeMember(c, x, info.byz); err != nil {
+	if err := w.arena.remove(c, x, info.byz); err != nil {
 		return err
 	}
 	w.unregisterNode(x)
@@ -285,9 +285,8 @@ func (w *World) leaveWith(led *metrics.Ledger, rng *xrand.Rand, x ids.NodeID, se
 // {source} ∪ receivers, so a leave's write footprint stays ~|C| clusters
 // instead of ~|C|^2). It is shared between the classic serial path
 // (leaveWith, t = the world) and the op scheduler's leave plan (planLeave,
-// t = the planView) so the two paths stay draw-for-draw identical — the
-// serial/sharded lockstep contract (TestGroupedCascadeMatchesSerial)
-// depends on it. Returns the hijacked-walk count to fold into stats.
+// t = the planView) so both paths run the same cascade draw for draw.
+// Returns the hijacked-walk count to fold into stats.
 func runLeaveCascade(grouped bool, exch *exchange.Exchanger, t walk.Topology, led *metrics.Ledger, rng *xrand.Rand, c ids.ClusterID, receivers []ids.ClusterID) (int64, error) {
 	if grouped {
 		// CascadeRound reads the receiver list (which aliases the
@@ -354,17 +353,14 @@ func (w *World) SetCorrupted(x ids.NodeID, corrupted bool) error {
 	if info.byz == corrupted {
 		return nil
 	}
-	s := w.shardFor(info.cluster)
-	s.mu.Lock()
-	slot, cs := s.clusterAt(info.cluster)
+	cs := w.arena.cluster(info.cluster)
 	if corrupted {
 		cs.byz++
 	} else {
 		cs.byz--
 	}
-	s.reclassify(cs)
-	s.markDirty(slot, cs)
-	s.mu.Unlock()
+	w.arena.reclassify(cs)
+	w.arena.markDirty(info.cluster, cs)
 	if corrupted {
 		w.byzPos = growPos(w.byzPos, x)
 		w.byzPos[x] = int32(len(w.byzNodes))
@@ -495,7 +491,7 @@ func (w *World) mergeRejoinAll(led *metrics.Ledger, rng *xrand.Rand, c ids.Clust
 	led.Charge(metrics.ClassInterCluster, int64(w.Size(c))*mass)
 	for _, x := range w.Members(c) {
 		info, _ := w.nodeInfoOf(x)
-		if err := w.removeMember(c, x, info.byz); err != nil {
+		if err := w.arena.remove(c, x, info.byz); err != nil {
 			return err
 		}
 		w.unregisterNode(x)
@@ -562,12 +558,9 @@ func (w *World) moveNode(x ids.NodeID, from, to ids.ClusterID) error {
 // removeClusterVertex retires c from both the partition bookkeeping and
 // the overlay, running OVER's repair pass.
 func (w *World) removeClusterVertex(led *metrics.Ledger, rng *xrand.Rand, c ids.ClusterID) {
-	s := w.shardFor(c)
-	s.mu.Lock()
-	if s.retireLocked(c) {
+	if w.arena.retire(c) {
 		w.nClusters--
 	}
-	s.mu.Unlock()
 	if w.overlay.Has(c) {
 		budget := w.cfg.TargetDegree() * w.cfg.EdgeAttemptFactor
 		// Repair walks start from the vertex being repaired.

@@ -1,64 +1,62 @@
 package core
 
-// The op scheduler: concurrent execution of protocol operations with
-// disjoint cluster footprints inside ONE world.
+// The op scheduler: one paper time step — a batch of simultaneous
+// arrivals, departures and forced exchanges — executed against ONE world.
 //
 // The paper's analysis rests on independence — clusters interact only
 // through the exchanges an operation itself triggers — so operations whose
-// cluster footprints do not overlap commute. The scheduler exploits this
-// in three deterministic phases:
+// cluster footprints do not overlap commute. ExecBatch runs a batch in
+// four deterministic phases:
 //
-//  1. PLAN. Every operation in the batch runs against a read-only snapshot
-//     of the world (the pre-batch state) through a copy-on-write planView
-//     that records the op's WRITE footprint: the clusters it mutates —
-//     the join's insertion target, the leave's source, every exchange
-//     partner and cascade receiver. Walk transits and cost reads are
-//     read-only against the snapshot and are deliberately NOT part of the
-//     footprint: all simultaneous operations of a batch observe the
-//     round-start state, exactly as simultaneous operations in one round
-//     of the paper's synchronous model do. Each op draws from its own RNG
-//     substream, derived in op order from the world stream, and charges
-//     its own private ledger — so plans are independent of scheduling and
-//     can be computed on worker goroutines.
-//  2. ADMIT + APPLY. In op order, a plan is admitted if its write
-//     footprint is disjoint from every previously admitted plan's. Write
-//     disjointness is sufficient for consistency: a plan only ever moves
-//     nodes that are members of its own written clusters (exchange
-//     partners pick their replacement from themselves), so disjoint write
-//     sets move disjoint node sets and replaying both plans' moves yields
-//     one well-defined state. Admitted moves are applied concurrently
-//     under the per-shard locks; sampling indexes, ledgers and stats are
-//     then folded in op order (serially) so their ordering stays
-//     deterministic.
-//  3. TAIL. Conflicting plans and structural operations (a join that must
+//  1. PLAN. Every operation in the batch runs, in op order, against the
+//     pre-batch state through a copy-on-write planView that records the
+//     op's WRITE footprint: the clusters it mutates — the join's insertion
+//     target, the leave's source, every exchange partner and cascade
+//     receiver. Walk transits and cost reads are read-only against the
+//     snapshot and are deliberately NOT part of the footprint: all
+//     simultaneous operations of a batch observe the round-start state,
+//     exactly as simultaneous operations in one round of the paper's
+//     synchronous model do. Each op draws from its own RNG substream,
+//     derived in op order from the world stream, and charges its own
+//     private ledger, so no plan observes another plan's effects.
+//  2. ADMIT. In op order, a plan is admitted if its write footprint is
+//     disjoint from every previously admitted plan's. Write disjointness
+//     is sufficient for consistency: a plan only ever moves nodes that are
+//     members of its own written clusters (exchange partners pick their
+//     replacement from themselves), so disjoint write sets move disjoint
+//     node sets and replaying both plans' moves yields one well-defined
+//     state.
+//  3. APPLY. Each admitted plan's moves are replayed on the live world in
+//     op order, and its sampling-index updates, ledger and stats are
+//     folded right after it.
+//  4. TAIL. Conflicting plans and structural operations (a join that must
 //     split, a leave that must merge or empties its cluster — these mutate
-//     the overlay and mint/retire cluster IDs) are discarded and re-run
-//     serially, in op order, against the live post-apply state on a fresh
-//     substream.
+//     the overlay and mint/retire cluster IDs) are discarded and re-run,
+//     in op order, against the live post-apply state on a fresh substream.
 //
-// Consequently ExecBatch is a pure function of (world state, batch): a
-// Shards=1 world and a Shards=8 world with equal seeds produce IDENTICAL
-// results — same Stats, same security counters, same membership, same
-// ledger totals — regardless of GOMAXPROCS. Adversary hooks (hijacker,
-// steer scorer) plan at full parallelism under the snapshot-scoped hook
-// contract (hooks.go): plan-phase Redirect/Score calls are pure reads of
-// state fixed before the batch, refreshed serially via BeginBatch, with
-// hook bookkeeping folded in op order via CommitOp next to the
-// scheduler's own order-sensitive folds; the contract holds
-// unconditionally. Divergence from the classic
-// one-op-per-call API is confined to (a) per-op RNG substreams instead of
-// one shared stream, (b) security settling at batch (= paper time step)
-// boundaries rather than per op, and (c) walks inside a batch observing
-// the pre-batch snapshot. None of these weaken the paper's guarantees:
-// the adversary already chooses its churn against the step-boundary state,
-// and randCl's placement distribution is the same under any fixed seed
-// derivation.
+// The tail is what keeps the snapshot semantics sound: a plan is only
+// valid if no earlier op of the batch wrote the clusters it writes, and a
+// structural op changes the cluster set every later plan walked over. Such
+// ops therefore run as classic operations after the admitted ones instead
+// of being replayed from a stale plan.
+//
+// Consequently ExecBatch is a pure function of (world state, batch): equal
+// seeds and equal batches give identical Stats, security counters,
+// membership and ledger totals. Adversary hooks (hijacker, steer scorer)
+// plan under the snapshot-scoped hook contract (hooks.go): plan-phase
+// Redirect/Score calls are pure reads of state fixed before the batch,
+// refreshed via BeginBatch, with hook bookkeeping folded in op order via
+// CommitOp next to the scheduler's own order-sensitive folds. Divergence
+// from the classic one-op-per-call API is confined to (a) per-op RNG
+// substreams instead of one shared stream, (b) security settling at batch
+// (= paper time step) boundaries rather than per op, and (c) walks inside
+// a batch observing the pre-batch snapshot. None of these weaken the
+// paper's guarantees: the adversary already chooses its churn against the
+// step-boundary state, and randCl's placement distribution is the same
+// under any fixed seed derivation.
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"nowover/internal/exchange"
 	"nowover/internal/ids"
@@ -116,9 +114,9 @@ type OpResult struct {
 	Node ids.NodeID
 	// Err is the operation error, if any.
 	Err error
-	// Deferred reports that the op ran on the serial tail (conflicting
-	// footprint or structural side effects) instead of the concurrent
-	// phase; DeferReason says why ("footprint conflict", "split
+	// Deferred reports that the op ran on the tail (conflicting footprint
+	// or structural side effects) instead of being applied from its plan;
+	// DeferReason says why ("footprint conflict", "split
 	// required", "merge required", "cluster emptied").
 	Deferred    bool
 	DeferReason string
@@ -149,7 +147,6 @@ type batchPlan struct {
 	op      Op
 	idx     int
 	newNode ids.NodeID
-	hasNode bool
 
 	writes ids.ClusterSet
 	moves  []planMove
@@ -166,7 +163,6 @@ func (p *batchPlan) reset(op Op, idx int) {
 	p.op = op
 	p.idx = idx
 	p.newNode = 0
-	p.hasNode = false
 	if p.writes == nil {
 		p.writes = make(ids.ClusterSet)
 	} else {
@@ -186,8 +182,9 @@ func (p *batchPlan) deferTo(reason string) {
 }
 
 // planView is the copy-on-write world the planner executes an op against:
-// reads fall through to the live (quiescent) world, writes land in
-// op-local cluster copies and are recorded in the plan's write footprint.
+// reads fall through to the pre-batch world (nothing is applied until every
+// op is planned), writes land in op-local cluster copies and are recorded
+// in the plan's write footprint.
 // It implements exchange.World, so the real walk and exchange machinery
 // runs unmodified over it. A view lives inside one planContext and is
 // reset per op: its overlay maps are cleared (not reallocated) and its
@@ -205,7 +202,7 @@ type planView struct {
 var _ exchange.World = (*planView)(nil)
 
 // reset points the view at a new plan and recycles the previous op's
-// cluster copies. Free-list order is scheduling-dependent but invisible:
+// cluster copies. Free-list order follows map iteration but is invisible:
 // a recycled record's contents are fully overwritten by the next snapshot.
 func (v *planView) reset(p *batchPlan) {
 	//nowlint:ordered free-list entries are interchangeable scratch records, fully overwritten by snapshotClusterInto before any read, so recycle order never reaches an output
@@ -222,10 +219,10 @@ func (v *planView) reset(p *batchPlan) {
 	v.viewMax = base
 }
 
-// planContext is one plan worker's reusable machinery: the view plus a
-// walker and exchanger bound to it once, instead of per op. The walker
-// config's hijack proxy and steer closure read the world's live hooks, so
-// a cached context never goes stale when SetHijacker/SetSteer is called.
+// planContext is the planner's reusable machinery: the view plus a walker
+// and exchanger bound to it once, instead of per op. The walker config's
+// hijack proxy and steer closure read the world's live hooks, so a cached
+// context never goes stale when SetHijacker/SetSteer is called.
 type planContext struct {
 	view   planView
 	walker *walk.Walker
@@ -251,7 +248,7 @@ func newPlanContext(w *World) (*planContext, error) {
 }
 
 // schedScratch is the world's reusable ExecBatch state: plan records,
-// per-op substreams, admission bookkeeping and per-worker plan contexts.
+// per-op substreams, admission bookkeeping and the plan context.
 // Everything here is sized once and recycled, so steady-state batches
 // allocate nothing beyond amortized growth of the world itself.
 type schedScratch struct {
@@ -260,22 +257,13 @@ type schedScratch struct {
 	batchRng xrand.Rand
 	tailRng  xrand.Rand
 	accW     ids.ClusterSet
-	admitted []*batchPlan
 	tail     []*batchPlan
-	errs     []error
-	ctxs     []*planContext
+	ctx      *planContext // built by NewWorld
 
 	// hijacked is the per-op hijacked-walk tally handed to hook CommitOp
-	// calls, filled in op order from admitted plans' stats and the serial
-	// tail's stat deltas. Only maintained when a BatchHook is registered.
+	// calls, filled in op order from admitted plans' stats and the tail's
+	// stat deltas. Only maintained when a BatchHook is registered.
 	hijacked []int64
-
-	// planFn/applyFn are the worker bodies handed to runIndexed, built once:
-	// a fresh closure per batch would escape to the heap and break the
-	// zero-allocation steady state. They capture only the world, reading the
-	// per-batch state through its sched scratch.
-	planFn  func(worker, i int)
-	applyFn func(worker, i int)
 }
 
 // ensure sizes the per-op scratch for a batch of n ops.
@@ -298,15 +286,12 @@ func (s *schedScratch) ensure(n int) {
 }
 
 // cs returns the cluster record visible to this plan: the op-local copy
-// when the plan has written c, the quiescent world's otherwise.
+// when the plan has written c, the pre-batch world's otherwise.
 func (v *planView) cs(c ids.ClusterID) (*clusterState, bool) {
 	if cs, ok := v.local[c]; ok {
 		return cs, true
 	}
-	s := v.w.shardFor(c)
-	s.mu.RLock()
-	cs := s.cluster(c)
-	s.mu.RUnlock()
+	cs := v.w.arena.cluster(c)
 	return cs, cs != nil
 }
 
@@ -449,8 +434,8 @@ func (v *planView) remove(x ids.NodeID, byz bool, c ids.ClusterID) error {
 
 // --- planning ---
 
-// planOp computes one op's plan against the quiescent world, on the given
-// worker's pooled machinery.
+// planOp computes one op's plan against the pre-batch world on the pooled
+// plan machinery.
 func (w *World) planOp(ctx *planContext, p *batchPlan, rng *xrand.Rand) {
 	ctx.view.reset(p)
 	v := &ctx.view
@@ -537,13 +522,12 @@ func (w *World) planLeave(p *batchPlan, v *planView, exch *exchange.Exchanger, r
 			// runLeaveCascade): receivers are enumerated from the
 			// pre-batch snapshot and every draw comes from this op's
 			// substream. Cascade writes land in the plan's footprint like
-			// any other transfer and are applied under the shard locks in
-			// op order — and under GroupedCascade the round swaps WITHIN
-			// the clusters the primary exchange already wrote, so the
-			// leave's write footprint stays ~|C| clusters instead of the
-			// ~|C|^2 the per-receiver cascade accumulates. That footprint
-			// drop is what lets full-density leave batches pass admission
-			// (see BenchmarkShardedWorldBatch's cascade regime).
+			// any other transfer — and under GroupedCascade the round
+			// swaps WITHIN the clusters the primary exchange already
+			// wrote, so the leave's write footprint stays ~|C| clusters
+			// instead of the ~|C|^2 the per-receiver cascade accumulates.
+			// That footprint drop is what lets full-density leave batches
+			// pass admission (see BenchmarkWorldBatch's cascade regime).
 			hijacked, err := runLeaveCascade(w.cfg.GroupedCascade, exch, v, &p.led, rng, c, rep.Receivers)
 			if err != nil {
 				p.err = err
@@ -601,20 +585,19 @@ func conflicts(p *batchPlan, accW ids.ClusterSet) bool {
 	return setsIntersect(p.writes, accW)
 }
 
-// applyPlan replays an admitted plan's membership moves under the shard
-// locks. Node records are updated here too (each node is moved by at most
-// one admitted plan); the flat sampling indexes are op-order-sensitive and
-// handled by the serial post-pass.
+// applyPlan replays an admitted plan's membership moves and node records
+// on the live world (each node is moved by at most one admitted plan). The
+// flat sampling indexes are updated by the caller's fold.
 func (w *World) applyPlan(p *batchPlan) error {
 	for _, m := range p.moves {
 		switch m.kind {
 		case moveInsert:
-			if err := w.insertMember(m.to, m.x, m.byz); err != nil {
+			if err := w.arena.insert(m.to, m.x, m.byz); err != nil {
 				return err
 			}
 			w.setNodeInfo(m.x, nodeInfo{cluster: m.to, byz: m.byz})
 		case moveRemove:
-			if err := w.removeMember(m.from, m.x, m.byz); err != nil {
+			if err := w.arena.remove(m.from, m.x, m.byz); err != nil {
 				return err
 			}
 			w.deleteNodeInfo(m.x)
@@ -627,62 +610,12 @@ func (w *World) applyPlan(p *batchPlan) error {
 	return nil
 }
 
-// schedWorkers picks the apply/plan concurrency: bounded by the batch
-// size, the shard count (a serial-layout world runs serially) and the
-// machine. The result never affects outcomes, only wall-clock.
-func (w *World) schedWorkers(n int) int {
-	if s := len(w.shards); s < n {
-		n = s
-	}
-	if p := runtime.GOMAXPROCS(0); p < n {
-		n = p
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
-// runIndexed fans fn(worker, 0..n-1) across the given number of workers
-// via an atomic claim counter, or runs inline (worker 0) when workers <= 1.
-// fn must be safe for concurrent invocation on distinct indexes; the worker
-// id lets callers hand each goroutine its own pooled machinery.
-func runIndexed(workers, n int, fn func(worker, i int)) {
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(0, i)
-		}
-		return
-	}
-	var next atomic.Int64
-	next.Store(-1)
-	var wg sync.WaitGroup
-	for g := 0; g < workers; g++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1))
-				if i >= n {
-					return
-				}
-				fn(worker, i)
-			}
-		}(g)
-	}
-	wg.Wait()
-}
-
 // ExecBatch executes a batch of operations — one paper time step with
 // multiple simultaneous arrivals/departures — through the op scheduler.
 // Results are positionally aligned with ops. The outcome is deterministic
-// in the world seed and the batch contents, independent of the shard count
-// and of GOMAXPROCS; see the package comment at the top of this file for
-// the phase structure and the exact divergence from the classic
-// one-op-per-call API.
-//
-// ExecBatch must not run concurrently with any other World method; it
-// manages its own internal concurrency.
+// in the world seed and the batch contents; see the comment at the top of
+// this file for the phase structure and the exact divergence from the
+// classic one-op-per-call API.
 func (w *World) ExecBatch(ops []Op) []OpResult {
 	return w.ExecBatchInto(nil, ops)
 }
@@ -707,10 +640,9 @@ func (w *World) ExecBatchInto(res []OpResult, ops []Op) []OpResult {
 		}
 		return res
 	}
-
-	// Serial hook refresh: installed batch-lifecycle hooks fix their
-	// snapshot-scoped decision state against the quiescent pre-batch world
-	// before any plan worker can consult them (hooks.go).
+	// Hook refresh: installed batch-lifecycle hooks fix their
+	// snapshot-scoped decision state against the pre-batch world before
+	// any plan consults them (hooks.go).
 	hooks, nHooks := w.hookLifecycles()
 	for i := 0; i < nHooks; i++ {
 		hooks[i].BeginBatch()
@@ -726,83 +658,43 @@ func (w *World) ExecBatchInto(res []OpResult, ops []Op) []OpResult {
 		p.reset(ops[i], i)
 		if ops[i].Kind == OpJoin {
 			p.newNode = w.nodeAlloc.NextNode()
-			p.hasNode = true
 		}
 		s.batchRng.SplitInto(&s.rngs[i], uint64(i))
 	}
 
-	// Phase 1: plan, possibly on workers. Plans are independent: each
-	// reads the quiescent world, draws its own substream, charges its own
-	// ledger; each worker plans on its own pooled machinery (view, walker,
-	// exchanger). Adversary hooks are consulted concurrently here — pure
-	// reads under the hook contract, so hooked worlds plan at full
-	// parallelism.
-	workers := w.schedWorkers(len(ops))
-	for len(s.ctxs) < workers {
-		ctx, err := newPlanContext(w)
-		if err != nil {
-			// Unreachable with a NewWorld-validated config; fail the batch
-			// loudly rather than planning with missing machinery.
-			for i := range res {
-				res[i] = OpResult{Node: s.plans[i].newNode, Err: err}
-			}
-			return res
-		}
-		s.ctxs = append(s.ctxs, ctx)
+	// Phase 1: plan every op against the pre-batch world. Each plan draws
+	// its own substream and charges its own ledger.
+	for i := range s.plans {
+		w.planOp(s.ctx, &s.plans[i], &s.rngs[i])
 	}
-	if s.planFn == nil {
-		s.planFn = func(worker, i int) {
-			w.planOp(w.sched.ctxs[worker], &w.sched.plans[i], &w.sched.rngs[i])
-		}
-	}
-	runIndexed(workers, len(ops), s.planFn)
 
-	// Phase 2: admit in op order, then apply admitted plans concurrently.
+	// Phases 2+3: admit in op order; apply each admitted plan and fold its
+	// sampling-index updates, ledger and stats right after it.
 	if s.accW == nil {
 		s.accW = make(ids.ClusterSet)
 	} else {
 		clear(s.accW)
 	}
-	s.admitted = s.admitted[:0]
 	s.tail = s.tail[:0]
 	for i := range s.plans {
 		p := &s.plans[i]
 		switch {
 		case p.err != nil:
-			res[p.idx] = OpResult{Node: p.newNode, Err: p.err}
+			res[i] = OpResult{Node: p.newNode, Err: p.err}
+			continue
 		case p.deferred || conflicts(p, s.accW):
 			if !p.deferred {
 				p.deferTo("footprint conflict")
 			}
 			s.tail = append(s.tail, p)
-		default:
-			s.admitted = append(s.admitted, p)
-			unionInto(s.accW, p.writes)
+			continue
 		}
-	}
-	if cap(s.errs) < len(s.admitted) {
-		s.errs = make([]error, len(s.admitted))
-	}
-	s.errs = s.errs[:len(s.admitted)]
-	for i := range s.errs {
-		s.errs[i] = nil
-	}
-	if s.applyFn == nil {
-		s.applyFn = func(_, i int) {
-			w.sched.errs[i] = w.applyPlan(w.sched.admitted[i])
-		}
-	}
-	admitted := s.admitted
-	applyErrs := s.errs
-	runIndexed(w.schedWorkers(len(admitted)), len(admitted), s.applyFn)
-
-	// Op-ordered post-pass: sampling indexes, ledgers, stats, results.
-	for i, p := range admitted {
-		if applyErrs[i] != nil {
+		unionInto(s.accW, p.writes)
+		if err := w.applyPlan(p); err != nil {
 			// Admission guarantees this cannot happen; surface loudly if a
 			// footprint bug ever breaks the guarantee (the invariant suite
 			// would then fail consistency too).
-			res[p.idx] = OpResult{Node: p.newNode, Err: applyErrs[i]}
+			res[i] = OpResult{Node: p.newNode, Err: err}
 			continue
 		}
 		for _, m := range p.moves {
@@ -816,14 +708,14 @@ func (w *World) ExecBatchInto(res []OpResult, ops []Op) []OpResult {
 		w.led.Merge(&p.led)
 		w.stats.accumulate(p.stats)
 		if nHooks > 0 {
-			s.hijacked[p.idx] = p.stats.HijackedWalks
+			s.hijacked[i] = p.stats.HijackedWalks
 		}
-		res[p.idx] = OpResult{Node: p.newNode}
+		res[i] = OpResult{Node: p.newNode}
 	}
 
-	// Phase 3: serial tail, in op order, against live state, on fresh
-	// substreams (the planning draws were consumed identically in every
-	// mode, so a derived stream keeps the tail deterministic too).
+	// Phase 4: the tail, in op order, against live state, on fresh
+	// substreams (the planning draws were consumed identically whatever
+	// was admitted, so a derived stream keeps the tail deterministic too).
 	for _, p := range s.tail {
 		s.rngs[p.idx].SplitInto(&s.tailRng, 0x7A11)
 		tailRng := &s.tailRng
@@ -854,9 +746,9 @@ func (w *World) ExecBatchInto(res []OpResult, ops []Op) []OpResult {
 	}
 
 	// Hook commit fold: once per op, in op order across admitted and tail
-	// alike, after every effect of the batch is in place — the serial step
-	// where hook bookkeeping (ratchet counters, budget spend) lands, next
-	// to the scheduler's own order-sensitive folds above.
+	// alike, after every effect of the batch is in place — where hook
+	// bookkeeping (ratchet counters, budget spend) lands, next to the
+	// scheduler's own order-sensitive folds above.
 	if nHooks > 0 {
 		for i := range res {
 			for h := 0; h < nHooks; h++ {

@@ -12,11 +12,10 @@ import (
 
 // newTestWorld builds a bootstrapped world for scheduler tests: N=512 name
 // space, 200 initial nodes, 20% Byzantine.
-func newTestWorld(t testing.TB, shards int, seed uint64) *World {
+func newTestWorld(t testing.TB, seed uint64) *World {
 	t.Helper()
 	cfg := DefaultConfig(512)
 	cfg.Seed = seed
-	cfg.Shards = shards
 	w, err := NewWorld(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -95,7 +94,7 @@ func TestExecBatchBeforeBootstrap(t *testing.T) {
 }
 
 func TestExecBatchJoinsLeavesExchanges(t *testing.T) {
-	w := newTestWorld(t, 4, 11)
+	w := newTestWorld(t, 11)
 	n0 := w.NumNodes()
 	r := xrand.New(99)
 	x1, _ := w.RandomNode(r)
@@ -141,14 +140,17 @@ func TestExecBatchJoinsLeavesExchanges(t *testing.T) {
 }
 
 // TestShardedMatchesSerial is the determinism regression for the op
-// scheduler: a serial-layout world (Shards=1) and a sharded world
-// (Shards=8) with identical seeds, fed identical batches, must produce
-// IDENTICAL results — same Stats, same security counters, same membership,
-// same sampling-index order, same ledger totals — after every batch, on
-// any GOMAXPROCS. This holds for ALL batches, conflicting or not, because
-// planning runs against the pre-batch snapshot on per-op substreams,
-// admission is decided in op order from deterministic footprints, and
-// conflicting or structural ops re-run on a deterministic serial tail.
+// scheduler. The name dates from when the world was split into lockable
+// shards and this compared a one-shard world with an eight-shard one; with
+// one arena left, it runs the same lockstep between two same-seed worlds.
+// Fed identical batches, they must stay in IDENTICAL states — same Stats,
+// same security counters, same membership, same sampling-index order,
+// same ledger totals — after every batch, with the full invariant layer
+// holding throughout. This holds for ALL batches, conflicting or not,
+// because planning runs against the pre-batch snapshot on per-op
+// substreams, admission is decided in op order from deterministic
+// footprints, and conflicting or structural ops re-run on a deterministic
+// tail; any map-iteration order leaking into batch results diverges here.
 //
 // Where divergence IS allowed: ExecBatch is NOT required to match the
 // classic one-op-per-call API (Join/Leave), which threads a single shared
@@ -161,40 +163,33 @@ func TestExecBatchJoinsLeavesExchanges(t *testing.T) {
 // used, and the adversary's information is step-boundary state in both
 // semantics.
 func TestShardedMatchesSerial(t *testing.T) {
-	serial := newTestWorld(t, 1, 42)
-	sharded := newTestWorld(t, 8, 42)
-	if fp1, fp8 := worldFingerprint(serial), worldFingerprint(sharded); fp1 != fp8 {
-		t.Fatalf("bootstrap fingerprints differ:\n%s\nvs\n%s", fp1, fp8)
+	a, b := newTestWorld(t, 42), newTestWorld(t, 42)
+	if fa, fb := worldFingerprint(a), worldFingerprint(b); fa != fb {
+		t.Fatalf("bootstrap fingerprints differ:\n%s\nvs\n%s", fa, fb)
 	}
-	rs := xrand.New(7)
-	r8 := xrand.New(7)
+	ra, rb := xrand.New(7), xrand.New(7)
 	batches := 25
 	if testing.Short() {
 		batches = 8
 	}
 	for i := 0; i < batches; i++ {
-		b1 := randomBatch(serial, rs, 8)
-		b8 := randomBatch(sharded, r8, 8)
-		res1 := serial.ExecBatch(b1)
-		res8 := sharded.ExecBatch(b8)
-		for j := range res1 {
-			e1, e8 := fmt.Sprint(res1[j].Err), fmt.Sprint(res8[j].Err)
-			if res1[j].Node != res8[j].Node || e1 != e8 || res1[j].Deferred != res8[j].Deferred {
-				t.Fatalf("batch %d op %d diverged: serial=%+v sharded=%+v", i, j, res1[j], res8[j])
+		resA := a.ExecBatch(randomBatch(a, ra, 8))
+		resB := b.ExecBatch(randomBatch(b, rb, 8))
+		for j := range resA {
+			ea, eb := fmt.Sprint(resA[j].Err), fmt.Sprint(resB[j].Err)
+			if resA[j].Node != resB[j].Node || ea != eb || resA[j].Deferred != resB[j].Deferred {
+				t.Fatalf("batch %d op %d diverged: %+v vs %+v", i, j, resA[j], resB[j])
 			}
 		}
-		if fp1, fp8 := worldFingerprint(serial), worldFingerprint(sharded); fp1 != fp8 {
-			t.Fatalf("state diverged after batch %d:\n--- serial ---\n%s\n--- sharded ---\n%s", i, fp1, fp8)
+		if fa, fb := worldFingerprint(a), worldFingerprint(b); fa != fb {
+			t.Fatalf("state diverged after batch %d:\n%s\nvs\n%s", i, fa, fb)
 		}
-		if err := CheckInvariants(serial); err != nil {
-			t.Fatalf("serial invariants after batch %d: %v", i, err)
-		}
-		if err := CheckInvariants(sharded); err != nil {
-			t.Fatalf("sharded invariants after batch %d: %v", i, err)
+		if err := CheckInvariants(a); err != nil {
+			t.Fatalf("invariants after batch %d: %v", i, err)
 		}
 	}
-	if serial.Stats() != sharded.Stats() {
-		t.Fatalf("final stats diverged:\n%+v\nvs\n%+v", serial.Stats(), sharded.Stats())
+	if a.Stats() != b.Stats() {
+		t.Fatalf("final stats diverged:\n%+v\nvs\n%+v", a.Stats(), b.Stats())
 	}
 }
 
@@ -203,7 +198,7 @@ func TestShardedMatchesSerial(t *testing.T) {
 // results).
 func TestBatchRepeatableAcrossRuns(t *testing.T) {
 	run := func() string {
-		w := newTestWorld(t, 8, 1234)
+		w := newTestWorld(t, 1234)
 		r := xrand.New(5)
 		for i := 0; i < 10; i++ {
 			w.ExecBatch(randomBatch(w, r, 6))
@@ -219,7 +214,7 @@ func TestBatchRepeatableAcrossRuns(t *testing.T) {
 // have overlapping footprints; exactly the later one must fall to the
 // serial tail, and both must still succeed.
 func TestBatchConflictingLeavesDefer(t *testing.T) {
-	w := newTestWorld(t, 8, 77)
+	w := newTestWorld(t, 77)
 	var c ids.ClusterID
 	for _, cand := range w.Clusters() {
 		if w.Size(cand) >= w.cfg.MergeThreshold()+2 {
@@ -253,7 +248,7 @@ func TestBatchConflictingLeavesDefer(t *testing.T) {
 // conflict; the deferred duplicate must fail with ErrUnknownNode (the node
 // is already gone), deterministically.
 func TestBatchDuplicateVictimErrors(t *testing.T) {
-	w := newTestWorld(t, 8, 3)
+	w := newTestWorld(t, 3)
 	x, _ := w.RandomNode(xrand.New(1))
 	res := w.ExecBatch([]Op{
 		{Kind: OpLeave, Victim: x},
@@ -274,7 +269,7 @@ func TestBatchDuplicateVictimErrors(t *testing.T) {
 // world to few clusters and stuffing one near the threshold via direct
 // joins, then confirm the batch defers it and the split actually happens.
 func TestBatchSplitRunsOnTail(t *testing.T) {
-	w := newTestWorld(t, 4, 9)
+	w := newTestWorld(t, 9)
 	r := xrand.New(2)
 	splitBatchHadDeferral := false
 	for i := 0; i < 80 && w.Stats().Splits == 0; i++ {
@@ -313,7 +308,7 @@ func TestBatchSplitRunsOnTail(t *testing.T) {
 // one world stays deterministic and invariant-preserving.
 func TestClassicAndBatchedInterleave(t *testing.T) {
 	run := func() string {
-		w := newTestWorld(t, 8, 21)
+		w := newTestWorld(t, 21)
 		r := xrand.New(4)
 		for i := 0; i < 6; i++ {
 			if _, err := w.JoinAuto(false); err != nil {

@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"nowover/internal/exchange"
 	"nowover/internal/ids"
@@ -35,7 +33,7 @@ var ErrUnknownCluster = errors.New("core: unknown cluster")
 func IsUnknownCluster(err error) bool { return errors.Is(err, ErrUnknownCluster) }
 
 // nodeInfo is the world's per-node record. Records live in a dense
-// slot-indexed arena (see nodeShard); present distinguishes a live record
+// slot-indexed arena (World.nodes); present distinguishes a live record
 // from a never-used or vacated slot.
 type nodeInfo struct {
 	cluster ids.ClusterID
@@ -45,7 +43,7 @@ type nodeInfo struct {
 
 // clusterState is the world's per-cluster record: member list, incremental
 // Byzantine count, and the security bookkeeping folded by settleSecurity
-// at operation boundaries. Records are arena-managed by their shard —
+// at operation boundaries. Records are managed by the cluster arena —
 // retired records keep their member capacity and return to a free list for
 // recycling by putCluster — so steady-state churn allocates nothing.
 //
@@ -57,12 +55,12 @@ type clusterState struct {
 	members []ids.NodeID
 	byz     int
 	// sec is the current (live) security class, maintained incrementally
-	// by worldShard.reclassify on every membership/allegiance change.
+	// by clusterArena.reclassify on every membership/allegiance change.
 	sec randnum.Security
 	// settled is the class as of the last settleSecurity pass; the
 	// sec-vs-settled delta drives the Degraded/CapturedEvents counters.
 	settled randnum.Security
-	// dirty marks the record as queued in its shard's dirtySlots list.
+	// dirty marks the record as queued in the arena's dirtySlots list.
 	dirty bool
 }
 
@@ -99,7 +97,7 @@ func (cs *clusterState) remove(x ids.NodeID, byz bool) error {
 		cs.byz--
 	}
 	// An emptied record deliberately keeps its backing array: the cluster
-	// is about to be retired into the shard's free list (or refilled), and
+	// is about to be retired into the arena's free list (or refilled), and
 	// the retained capacity is what makes the recycled record's next fill
 	// allocation-free.
 	return nil
@@ -152,11 +150,9 @@ func (s *Stats) accumulate(d Stats) {
 
 // hijackProxy lets the adversary be installed after World construction:
 // walker configs capture the proxy once and read whatever hook is current.
-// Installation is serial (SetHijacker must not run concurrently with
-// world operations); Redirect is called from concurrent plan workers, but
-// the hook contract (hooks.go) makes those calls pure reads, so the proxy
-// needs no lock — concurrent readers of an unchanging field race with
-// nothing.
+// Installation must not happen during a world operation; Redirect calls
+// made while a batch plans are pure reads under the hook contract
+// (hooks.go).
 type hijackProxy struct {
 	h walk.Hijacker
 }
@@ -170,28 +166,20 @@ func (p *hijackProxy) Redirect(r *xrand.Rand, at ids.ClusterID) (ids.ClusterID, 
 
 func (p *hijackProxy) set(h walk.Hijacker) { p.h = h }
 
-// worldShard is one independently lockable segment of the cluster-keyed
-// state: a dense slot-indexed arena of cluster records plus every index
-// derived from them (the size multiset with its max tracker, the insecure
-// counters, the settle queue).
+// clusterArena is the world's cluster-keyed state: a dense slot-indexed
+// arena of cluster records plus every index derived from them (the size
+// multiset with its max tracker, the insecure counters, the settle queue).
 //
-// Cluster c lives in shard c % stride at slot c / stride. Cluster IDs are
-// minted densely and never reused, so each shard's slots fill 0,1,2,...
-// with no gaps and one slot belongs to exactly one cluster ID for the
-// lifetime of the world; ascending slot order IS ascending ClusterID
-// order, which is what keeps every walk over the arena deterministic
-// without sorting. Operations whose cluster footprints are disjoint touch
-// disjoint shard entries and can run concurrently under the shard locks.
-type worldShard struct {
-	mu            sync.RWMutex
-	stride, index int
-
+// Cluster c lives at slot c. Cluster IDs are minted densely and never
+// reused, so the slots fill 0,1,2,... with no gaps and one slot belongs to
+// exactly one cluster ID for the lifetime of the world; ascending slot
+// order IS ascending ClusterID order, which is what keeps every walk over
+// the arena deterministic without sorting.
+type clusterArena struct {
 	// clusters is the cluster arena; nil = retired or not yet minted.
 	clusters []*clusterState
-	// free holds retired records (capacity retained) for putCluster.
+	// free holds retired records (capacity retained) for put.
 	free []*clusterState
-	// liveSlots counts non-nil arena entries.
-	liveSlots int
 
 	// sizeCount is the cluster-size multiset — sizeCount[s] = number of
 	// clusters of size s — with maxSize as its tracked maximum. The dense
@@ -202,7 +190,7 @@ type worldShard struct {
 	maxSize   int
 
 	// degraded/captured count clusters whose live class is >= Degraded
-	// resp. == Captured, so CurrentInsecure is O(shards).
+	// resp. == Captured, so CurrentInsecure is O(1).
 	degraded, captured int
 
 	// dirtySlots queues slots whose record changed since the last settle
@@ -210,84 +198,58 @@ type worldShard struct {
 	dirtySlots []int32
 }
 
-func newWorldShard(stride, index int) *worldShard {
-	return &worldShard{stride: stride, index: index}
-}
-
-func (s *worldShard) slotOf(c ids.ClusterID) int {
-	return int(uint64(c) / uint64(s.stride))
-}
-
-func (s *worldShard) idAt(slot int) ids.ClusterID {
-	return ids.ClusterID(uint64(slot)*uint64(s.stride) + uint64(s.index))
-}
-
-// cluster returns the record for c, or nil when c is not a live cluster of
-// this shard. Caller holds s.mu.
-func (s *worldShard) cluster(c ids.ClusterID) *clusterState {
-	slot := s.slotOf(c)
-	if slot >= len(s.clusters) {
+// cluster returns the record for c, or nil when c is not a live cluster.
+func (a *clusterArena) cluster(c ids.ClusterID) *clusterState {
+	if uint64(c) >= uint64(len(a.clusters)) {
 		return nil
 	}
-	return s.clusters[slot]
+	return a.clusters[c]
 }
 
-// clusterAt is cluster plus the slot, for callers that also mark dirty.
-// Caller holds s.mu.
-func (s *worldShard) clusterAt(c ids.ClusterID) (int, *clusterState) {
-	slot := s.slotOf(c)
-	if slot >= len(s.clusters) {
-		return slot, nil
-	}
-	return slot, s.clusters[slot]
-}
-
-// noteSizeChange updates the shard's size multiset and max-size tracker for
-// a cluster moving from size a to size b. Caller holds s.mu.
-func (s *worldShard) noteSizeChange(a, b int) {
-	if a == b {
+// noteSizeChange updates the size multiset and max-size tracker for a
+// cluster moving from size from to size to.
+func (a *clusterArena) noteSizeChange(from, to int) {
+	if from == to {
 		return
 	}
-	if a > 0 {
-		s.sizeCount[a]--
+	if from > 0 {
+		a.sizeCount[from]--
 	}
-	if b > 0 {
-		if b >= len(s.sizeCount) {
-			s.sizeCount = append(s.sizeCount, make([]int32, b+1-len(s.sizeCount))...)
+	if to > 0 {
+		if to >= len(a.sizeCount) {
+			a.sizeCount = append(a.sizeCount, make([]int32, to+1-len(a.sizeCount))...)
 		}
-		s.sizeCount[b]++
+		a.sizeCount[to]++
 	}
-	if b > s.maxSize {
-		s.maxSize = b
-	} else if a == s.maxSize && s.sizeCount[a] == 0 {
-		// The (possibly unique) largest cluster of this shard shrank: scan
-		// down to the next occupied size. The multiset is dense, so the
-		// scan is exact by construction — there is no "entry already
-		// deleted" state for the recompute to mis-read.
-		m := a
-		for m > 0 && s.sizeCount[m] == 0 {
+	if to > a.maxSize {
+		a.maxSize = to
+	} else if from == a.maxSize && a.sizeCount[from] == 0 {
+		// The (possibly unique) largest cluster shrank: scan down to the
+		// next occupied size. The multiset is dense, so the scan is exact
+		// by construction — there is no "entry already deleted" state for
+		// the recompute to mis-read.
+		m := from
+		for m > 0 && a.sizeCount[m] == 0 {
 			m--
 		}
-		s.maxSize = m
+		a.maxSize = m
 	}
 }
 
-// markDirty queues cs's slot for the next settleSecurity pass. Caller
-// holds s.mu.
-func (s *worldShard) markDirty(slot int, cs *clusterState) {
+// markDirty queues c's record for the next settleSecurity pass.
+func (a *clusterArena) markDirty(c ids.ClusterID, cs *clusterState) {
 	if cs.dirty {
 		return
 	}
 	cs.dirty = true
-	s.dirtySlots = append(s.dirtySlots, int32(slot))
+	a.dirtySlots = append(a.dirtySlots, int32(c))
 }
 
 // reclassify recomputes a record's live security class after a membership
-// or allegiance change, maintaining the shard's insecure counters. Event
-// counters are NOT advanced here — transients inside one operation are not
-// time step states; settleSecurity handles accounting at operation
-// boundaries. Caller holds s.mu.
-func (s *worldShard) reclassify(cs *clusterState) {
+// or allegiance change, maintaining the insecure counters. Event counters
+// are NOT advanced here — transients inside one operation are not time
+// step states; settleSecurity handles accounting at operation boundaries.
+func (a *clusterArena) reclassify(cs *clusterState) {
 	now := randnum.Secure
 	if len(cs.members) > 0 {
 		now = randnum.Classify(len(cs.members), cs.byz)
@@ -296,112 +258,106 @@ func (s *worldShard) reclassify(cs *clusterState) {
 		return
 	}
 	if cs.sec >= randnum.Degraded {
-		s.degraded--
+		a.degraded--
 	}
 	if cs.sec == randnum.Captured {
-		s.captured--
+		a.captured--
 	}
 	if now >= randnum.Degraded {
-		s.degraded++
+		a.degraded++
 	}
 	if now == randnum.Captured {
-		s.captured++
+		a.captured++
 	}
 	cs.sec = now
 }
 
-// retireLocked removes c's record from the arena and returns it — reset,
+// put installs a fresh cluster record for c, recycling a retired record
+// (with its member capacity) when the free list has one.
+func (a *clusterArena) put(c ids.ClusterID) {
+	for uint64(len(a.clusters)) <= uint64(c) {
+		a.clusters = append(a.clusters, nil)
+	}
+	var cs *clusterState
+	if n := len(a.free); n > 0 {
+		cs, a.free = a.free[n-1], a.free[:n-1]
+	} else {
+		cs = &clusterState{}
+	}
+	a.clusters[c] = cs
+}
+
+// retire removes c's record from the arena and returns it — reset,
 // capacity retained — to the free list, reporting whether c was live.
-// Caller holds s.mu.
-func (s *worldShard) retireLocked(c ids.ClusterID) bool {
-	slot, cs := s.clusterAt(c)
+func (a *clusterArena) retire(c ids.ClusterID) bool {
+	cs := a.cluster(c)
 	if cs == nil {
 		return false
 	}
-	s.noteSizeChange(len(cs.members), 0)
+	a.noteSizeChange(len(cs.members), 0)
 	cs.members = cs.members[:0]
 	cs.byz = 0
-	s.reclassify(cs) // live class -> Secure, counters updated
+	a.reclassify(cs) // live class -> Secure, counters updated
 	cs.settled = randnum.Secure
 	// Any dirtySlots entry for this slot now points at a nil record and is
 	// skipped by the settle pass; the flag must clear here so the recycled
 	// record re-queues cleanly at its next home.
 	cs.dirty = false
-	s.clusters[slot] = nil
-	s.liveSlots--
-	s.free = append(s.free, cs)
+	a.clusters[c] = nil
+	a.free = append(a.free, cs)
 	return true
 }
 
-// nodeShard is one lockable segment of the node index: a dense slot-indexed
-// arena of node records, slot = NodeID / stride for the shard at
-// NodeID % stride (node IDs are minted densely and never reused, mirroring
-// the cluster arena's slot scheme).
-type nodeShard struct {
-	mu            sync.RWMutex
-	stride, index int
-	nodes         []nodeInfo
-	count         int
-}
-
-func (ns *nodeShard) slotOf(x ids.NodeID) int {
-	return int(uint64(x) / uint64(ns.stride))
-}
-
-// defaultShards is the package-level default shard count applied when
-// Config.Shards is zero; see SetDefaultShards.
-var defaultShards atomic.Int32
-
-// SetDefaultShards fixes the shard count used by worlds whose Config.Shards
-// is zero: 1 restores the fully serial layout, n > 1 partitions cluster
-// state across n lockable segments. Values below 1 reset to 1.
-func SetDefaultShards(n int) {
-	if n < 1 {
-		n = 1
+// insert adds x (allegiance byz) to cluster c, updating the size multiset
+// and live security class. It does not touch the node index.
+func (a *clusterArena) insert(c ids.ClusterID, x ids.NodeID, byz bool) error {
+	cs := a.cluster(c)
+	if cs == nil {
+		return fmt.Errorf("core: insert into unknown cluster %v", c)
 	}
-	defaultShards.Store(int32(n))
+	a.noteSizeChange(len(cs.members), len(cs.members)+1)
+	cs.add(x, byz)
+	a.reclassify(cs)
+	a.markDirty(c, cs)
+	return nil
 }
 
-// DefaultShards reports the package default shard count (minimum 1).
-func DefaultShards() int {
-	if v := defaultShards.Load(); v > 0 {
-		return int(v)
+// remove takes x out of c, updating the size multiset and live security
+// class. It does not touch the node index.
+func (a *clusterArena) remove(c ids.ClusterID, x ids.NodeID, byz bool) error {
+	cs := a.cluster(c)
+	if cs == nil {
+		return fmt.Errorf("core: remove from unknown cluster %v", c)
 	}
-	return 1
+	n := len(cs.members)
+	if err := cs.remove(x, byz); err != nil {
+		return err
+	}
+	a.noteSizeChange(n, n-1)
+	a.reclassify(cs)
+	a.markDirty(c, cs)
+	return nil
 }
 
-// defaultGroupedCascade is the package-level default for
-// Config.GroupedCascade, applied by DefaultConfig; see
-// SetDefaultGroupedCascade.
-var defaultGroupedCascade atomic.Bool
-
-// SetDefaultGroupedCascade fixes whether configurations built by
-// DefaultConfig run the leave cascade as one grouped shuffle round (true)
-// or as Algorithm 2's per-receiver full exchanges (false, the paper
-// default). It is the harness-wide knob behind the nowbench/nowsim
-// -grouped-cascade flags; worlds built from an explicit Config are
-// unaffected.
-func SetDefaultGroupedCascade(on bool) { defaultGroupedCascade.Store(on) }
-
-// DefaultGroupedCascade reports the package default cascade mode.
-func DefaultGroupedCascade() bool { return defaultGroupedCascade.Load() }
-
-// World is the complete NOW protocol state. Cluster-keyed state is
-// partitioned across Config.Shards lockable segments so the op scheduler
-// (ExecBatch) can execute operations with disjoint cluster footprints
-// concurrently. Outside ExecBatch the world is not safe for concurrent
-// use: the paper's model is synchronous and the classic per-operation API
-// (Join/Leave/...) is single-threaded, exactly as before.
+// World is the complete NOW protocol state. It is not safe for concurrent
+// use: the paper's model is synchronous, and both the classic
+// per-operation API (Join/Leave/...) and the op scheduler (ExecBatch) run
+// on the caller's goroutine.
 type World struct {
 	cfg     Config
 	led     *metrics.Ledger
 	rng     *xrand.Rand
 	walkCfg walk.Config
 
-	shards     []*worldShard
-	nodeShards []*nodeShard
-	nClusters  int
-	overlay    *over.Overlay
+	arena     clusterArena
+	nClusters int
+	overlay   *over.Overlay
+
+	// nodes is the node index: a dense NodeID-indexed arena of node
+	// records (node IDs are minted densely and never reused, mirroring the
+	// cluster arena's slot scheme); nodeCount counts the present ones.
+	nodes     []nodeInfo
+	nodeCount int
 
 	nodeAlloc ids.NodeAllocator
 	clAlloc   ids.ClusterAllocator
@@ -409,10 +365,8 @@ type World struct {
 	// Flat node indexes for O(1) uniform sampling by workloads. nodePos
 	// and byzPos are NodeID-indexed position arrays (-1 = absent), dense
 	// for the same reason the arenas are: IDs are minted densely and never
-	// reused. They are serial-only state: the op scheduler mutates them in
-	// its op-ordered post-pass, never from apply workers, so they need no
-	// lock and their ordering (which seeds RandomNode draws) stays
-	// deterministic.
+	// reused. The op scheduler updates them in op order, so their ordering
+	// (which seeds RandomNode draws) stays deterministic.
 	allNodes []ids.NodeID
 	nodePos  []int32
 	byzNodes []ids.NodeID
@@ -424,9 +378,9 @@ type World struct {
 	steer  func(ids.ClusterID) float64
 
 	// hijackHook/steerHook are the installed hooks' batch lifecycles
-	// (BatchHook side of SetHijacker / SetSteerHook), driven serially by
-	// ExecBatch: BeginBatch before planning, CommitOp in op order after
-	// apply. See hooks.go.
+	// (BatchHook side of SetHijacker / SetSteerHook), driven by ExecBatch:
+	// BeginBatch before planning, CommitOp in op order after apply. See
+	// hooks.go.
 	hijackHook BatchHook
 	steerHook  BatchHook
 
@@ -436,9 +390,7 @@ type World struct {
 	bootstrapped  bool
 
 	// sched holds the pooled scratch of the batch scheduler (plan records,
-	// RNG substreams, per-worker plan machinery). It is serial-only state:
-	// ExecBatch alone touches it, and ExecBatch must not run concurrently
-	// with itself.
+	// RNG substreams, plan machinery); ExecBatch alone touches it.
 	sched schedScratch
 }
 
@@ -453,10 +405,6 @@ func NewWorld(cfg Config) (*World, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	shardCount := cfg.Shards
-	if shardCount == 0 {
-		shardCount = DefaultShards()
-	}
 	ov, err := over.New(over.Params{
 		TargetDegree: cfg.TargetDegree(),
 		DegreeCap:    cfg.DegreeCap(),
@@ -467,18 +415,12 @@ func NewWorld(cfg Config) (*World, error) {
 		return nil, err
 	}
 	w := &World{
-		cfg:        cfg,
-		led:        &metrics.Ledger{},
-		rng:        xrand.New(cfg.Seed),
-		shards:     make([]*worldShard, shardCount),
-		nodeShards: make([]*nodeShard, shardCount),
-		overlay:    ov,
-		rejoinByz:  make(map[ids.NodeID]bool),
-		hijack:     &hijackProxy{},
-	}
-	for i := range w.shards {
-		w.shards[i] = newWorldShard(shardCount, i)
-		w.nodeShards[i] = &nodeShard{stride: shardCount, index: i}
+		cfg:       cfg,
+		led:       &metrics.Ledger{},
+		rng:       xrand.New(cfg.Seed),
+		overlay:   ov,
+		rejoinByz: make(map[ids.NodeID]bool),
+		hijack:    &hijackProxy{},
 	}
 	w.walkCfg = walk.Config{
 		DurationFactor: cfg.WalkDurationFactor,
@@ -497,6 +439,9 @@ func NewWorld(cfg Config) (*World, error) {
 		return nil, err
 	}
 	w.exch = exch
+	if w.sched.ctx, err = newPlanContext(w); err != nil {
+		return nil, err
+	}
 	return w, nil
 }
 
@@ -510,171 +455,61 @@ func (w *World) steerScore(c ids.ClusterID) float64 {
 // Config returns the world's configuration.
 func (w *World) Config() Config { return w.cfg }
 
-// ShardCount reports how many lockable segments cluster state is
-// partitioned across (>= 1).
-func (w *World) ShardCount() int { return len(w.shards) }
-
 // Ledger returns the world's cost ledger.
 func (w *World) Ledger() *metrics.Ledger { return w.led }
 
 // Stats returns the lifetime counters.
 func (w *World) Stats() Stats { return w.stats }
 
-// --- shard routing ---
+// --- arena access ---
 
-func (w *World) shardFor(c ids.ClusterID) *worldShard {
-	return w.shards[uint64(c)%uint64(len(w.shards))]
-}
+func (w *World) hasCluster(c ids.ClusterID) bool { return w.arena.cluster(c) != nil }
 
-func (w *World) nodeShardFor(x ids.NodeID) *nodeShard {
-	return w.nodeShards[uint64(x)%uint64(len(w.nodeShards))]
-}
-
-func (w *World) hasCluster(c ids.ClusterID) bool {
-	s := w.shardFor(c)
-	s.mu.RLock()
-	ok := s.cluster(c) != nil
-	s.mu.RUnlock()
-	return ok
-}
-
-// putCluster installs a fresh cluster record for c, recycling a retired
-// record (with its member capacity) when the shard's free list has one.
-// Serial contexts only (bootstrap, split, merge): cluster creation is
-// structural and the op scheduler never admits structural plans for
-// concurrent apply.
+// putCluster installs a fresh cluster record for c. Serial structural
+// contexts only (bootstrap, split, merge): the op scheduler defers every
+// structural plan to its tail.
 func (w *World) putCluster(c ids.ClusterID) {
-	s := w.shardFor(c)
-	s.mu.Lock()
-	slot := s.slotOf(c)
-	for len(s.clusters) <= slot {
-		s.clusters = append(s.clusters, nil)
-	}
-	var cs *clusterState
-	if n := len(s.free); n > 0 {
-		cs, s.free = s.free[n-1], s.free[:n-1]
-	} else {
-		cs = &clusterState{}
-	}
-	s.clusters[slot] = cs
-	s.liveSlots++
-	s.mu.Unlock()
+	w.arena.put(c)
 	w.nClusters++
 }
 
-// snapshotCluster deep-copies a cluster record for a planning view.
-func (w *World) snapshotCluster(c ids.ClusterID) (*clusterState, bool) {
-	s := w.shardFor(c)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	cs := s.cluster(c)
-	if cs == nil {
-		return nil, false
-	}
-	return cs.clone(), true
-}
-
 // snapshotClusterInto copies c's record into dst, reusing dst's member
-// capacity. It is snapshotCluster for the pooled planning path: a recycled
-// dst makes the copy-on-write snapshot allocation-free in steady state.
+// capacity, so the planner's copy-on-write snapshot is allocation-free in
+// steady state.
 func (w *World) snapshotClusterInto(c ids.ClusterID, dst *clusterState) bool {
-	s := w.shardFor(c)
-	s.mu.RLock()
-	cs := s.cluster(c)
+	cs := w.arena.cluster(c)
 	if cs == nil {
-		s.mu.RUnlock()
 		return false
 	}
 	dst.members = append(dst.members[:0], cs.members...)
 	dst.byz = cs.byz
-	s.mu.RUnlock()
 	return true
 }
 
 func (w *World) nodeInfoOf(x ids.NodeID) (nodeInfo, bool) {
-	ns := w.nodeShardFor(x)
-	ns.mu.RLock()
 	var info nodeInfo
-	if slot := ns.slotOf(x); slot < len(ns.nodes) {
-		info = ns.nodes[slot]
+	if uint64(x) < uint64(len(w.nodes)) {
+		info = w.nodes[x]
 	}
-	ns.mu.RUnlock()
 	return info, info.present
 }
 
 func (w *World) setNodeInfo(x ids.NodeID, info nodeInfo) {
 	info.present = true
-	ns := w.nodeShardFor(x)
-	ns.mu.Lock()
-	slot := ns.slotOf(x)
-	for len(ns.nodes) <= slot {
-		ns.nodes = append(ns.nodes, nodeInfo{})
+	for uint64(len(w.nodes)) <= uint64(x) {
+		w.nodes = append(w.nodes, nodeInfo{})
 	}
-	if !ns.nodes[slot].present {
-		ns.count++
+	if !w.nodes[x].present {
+		w.nodeCount++
 	}
-	ns.nodes[slot] = info
-	ns.mu.Unlock()
+	w.nodes[x] = info
 }
 
 func (w *World) deleteNodeInfo(x ids.NodeID) {
-	ns := w.nodeShardFor(x)
-	ns.mu.Lock()
-	if slot := ns.slotOf(x); slot < len(ns.nodes) && ns.nodes[slot].present {
-		ns.nodes[slot] = nodeInfo{}
-		ns.count--
+	if uint64(x) < uint64(len(w.nodes)) && w.nodes[x].present {
+		w.nodes[x] = nodeInfo{}
+		w.nodeCount--
 	}
-	ns.mu.Unlock()
-}
-
-// --- core membership mutators (shared by the classic serial path and the
-// scheduler's apply phase; all locking lives here) ---
-
-// insertMember adds x (allegiance byz) to cluster c, updating the size
-// multiset and live security class. It does not touch the node index.
-func (w *World) insertMember(c ids.ClusterID, x ids.NodeID, byz bool) error {
-	s := w.shardFor(c)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.insertLocked(c, x, byz)
-}
-
-// insertLocked is insertMember's body; the caller holds s.mu.
-func (s *worldShard) insertLocked(c ids.ClusterID, x ids.NodeID, byz bool) error {
-	slot, cs := s.clusterAt(c)
-	if cs == nil {
-		return fmt.Errorf("core: insert into unknown cluster %v", c)
-	}
-	s.noteSizeChange(len(cs.members), len(cs.members)+1)
-	cs.add(x, byz)
-	s.reclassify(cs)
-	s.markDirty(slot, cs)
-	return nil
-}
-
-// removeMember removes x from c, updating the size multiset and live
-// security class. It does not touch the node index.
-func (w *World) removeMember(c ids.ClusterID, x ids.NodeID, byz bool) error {
-	s := w.shardFor(c)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.removeLocked(c, x, byz)
-}
-
-// removeLocked is removeMember's body; the caller holds s.mu.
-func (s *worldShard) removeLocked(c ids.ClusterID, x ids.NodeID, byz bool) error {
-	slot, cs := s.clusterAt(c)
-	if cs == nil {
-		return fmt.Errorf("core: remove from unknown cluster %v", c)
-	}
-	n := len(cs.members)
-	if err := cs.remove(x, byz); err != nil {
-		return err
-	}
-	s.noteSizeChange(n, n-1)
-	s.reclassify(cs)
-	s.markDirty(slot, cs)
-	return nil
 }
 
 // --- walk.Topology ---
@@ -693,59 +528,33 @@ func (w *World) NeighborAt(c ids.ClusterID, i int) ids.ClusterID { return w.over
 
 // Size implements walk.Topology.
 func (w *World) Size(c ids.ClusterID) int {
-	s := w.shardFor(c)
-	s.mu.RLock()
-	n := 0
-	if cs := s.cluster(c); cs != nil {
-		n = len(cs.members)
+	if cs := w.arena.cluster(c); cs != nil {
+		return len(cs.members)
 	}
-	s.mu.RUnlock()
-	return n
+	return 0
 }
 
 // Byz implements walk.Topology.
 func (w *World) Byz(c ids.ClusterID) int {
-	s := w.shardFor(c)
-	s.mu.RLock()
-	n := 0
-	if cs := s.cluster(c); cs != nil {
-		n = cs.byz
+	if cs := w.arena.cluster(c); cs != nil {
+		return cs.byz
 	}
-	s.mu.RUnlock()
-	return n
+	return 0
 }
 
-// MaxClusterSize implements walk.Topology: the maximum over the per-shard
-// max trackers.
-func (w *World) MaxClusterSize() int {
-	m := 0
-	for _, s := range w.shards {
-		s.mu.RLock()
-		if s.maxSize > m {
-			m = s.maxSize
-		}
-		s.mu.RUnlock()
-	}
-	return m
-}
+// MaxClusterSize implements walk.Topology.
+func (w *World) MaxClusterSize() int { return w.arena.maxSize }
 
 // --- exchange.World ---
 
 // MemberAt implements exchange.World.
 func (w *World) MemberAt(c ids.ClusterID, i int) ids.NodeID {
-	s := w.shardFor(c)
-	s.mu.RLock()
-	x := s.cluster(c).members[i]
-	s.mu.RUnlock()
-	return x
+	return w.arena.cluster(c).members[i]
 }
 
 // Members implements exchange.World (snapshot copy).
 func (w *World) Members(c ids.ClusterID) []ids.NodeID {
-	s := w.shardFor(c)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	cs := s.cluster(c)
+	cs := w.arena.cluster(c)
 	if cs == nil {
 		return nil
 	}
@@ -781,16 +590,12 @@ func (w *World) Transfer(x ids.NodeID, from, to ids.ClusterID) error {
 // applyTransfer performs the raw cluster-and-node-record relocation without
 // validation or swap accounting. Used by Transfer and by the scheduler's
 // apply phase (where admitted plans guarantee validity and stats come from
-// the plan deltas). Both footprint shards are held for the whole move via
-// the canonical ordered-acquire helper, so no reader can observe x
-// removed from one cluster but not yet inserted into the other.
+// the plan deltas).
 func (w *World) applyTransfer(x ids.NodeID, from, to ids.ClusterID, byz bool) error {
-	lo, hi := w.lockShardPair(from, to)
-	defer unlockShardPair(lo, hi)
-	if err := w.shardFor(from).removeLocked(from, x, byz); err != nil {
+	if err := w.arena.remove(from, x, byz); err != nil {
 		return err
 	}
-	if err := w.shardFor(to).insertLocked(to, x, byz); err != nil {
+	if err := w.arena.insert(to, x, byz); err != nil {
 		return err
 	}
 	w.setNodeInfo(x, nodeInfo{cluster: to, byz: byz})
@@ -811,44 +616,40 @@ func (w *World) applyTransfer(x ids.NodeID, from, to ids.ClusterID, byz bool) er
 // MaxByzFractionEver when it last changed, so the dirty-only walk is
 // fold-for-fold identical to the full scan it replaces.
 func (w *World) settleSecurity() {
-	for _, s := range w.shards {
-		s.mu.Lock()
-		// Ascending slot order = ascending ClusterID within the shard: the
-		// folds below are commutative today, but the settled-transition
-		// accounting is exactly the kind of logic that grows
-		// order-sensitive branches; fixing the order keeps the whole pass
-		// trivially deterministic (and nowlint-clean), exactly like the
-		// sorted map walk it replaces.
-		slices.Sort(s.dirtySlots)
-		for _, slot := range s.dirtySlots {
-			cs := s.clusters[slot]
-			if cs == nil {
-				continue // retired after it was queued
-			}
-			cs.dirty = false
-			size := len(cs.members)
-			if size == 0 {
-				cs.settled = randnum.Secure
-				continue
-			}
-			if frac := float64(cs.byz) / float64(size); frac > w.stats.MaxByzFractionEver {
-				w.stats.MaxByzFractionEver = frac
-			}
-			now := cs.sec
-			prev := cs.settled
-			if now > prev {
-				if now >= randnum.Degraded && prev < randnum.Degraded {
-					w.stats.DegradedEvents++
-				}
-				if now == randnum.Captured && prev < randnum.Captured {
-					w.stats.CapturedEvents++
-				}
-			}
-			cs.settled = now
+	a := &w.arena
+	// Ascending slot order = ascending ClusterID: the folds below are
+	// commutative today, but the settled-transition accounting is exactly
+	// the kind of logic that grows order-sensitive branches; fixing the
+	// order keeps the whole pass trivially deterministic (and
+	// nowlint-clean), exactly like the sorted map walk it replaces.
+	slices.Sort(a.dirtySlots)
+	for _, slot := range a.dirtySlots {
+		cs := a.clusters[slot]
+		if cs == nil {
+			continue // retired after it was queued
 		}
-		s.dirtySlots = s.dirtySlots[:0]
-		s.mu.Unlock()
+		cs.dirty = false
+		size := len(cs.members)
+		if size == 0 {
+			cs.settled = randnum.Secure
+			continue
+		}
+		if frac := float64(cs.byz) / float64(size); frac > w.stats.MaxByzFractionEver {
+			w.stats.MaxByzFractionEver = frac
+		}
+		now := cs.sec
+		prev := cs.settled
+		if now > prev {
+			if now >= randnum.Degraded && prev < randnum.Degraded {
+				w.stats.DegradedEvents++
+			}
+			if now == randnum.Captured && prev < randnum.Captured {
+				w.stats.CapturedEvents++
+			}
+		}
+		cs.settled = now
 	}
+	a.dirtySlots = a.dirtySlots[:0]
 }
 
 // samplePos returns x's position in the flat sampling index, -1 if absent.
@@ -997,15 +798,9 @@ func (w *World) RandomCluster(r *xrand.Rand) (ids.ClusterID, bool) {
 
 // CurrentInsecure returns the number of clusters presently at or above
 // the 1/3 (degraded) and 1/2 (captured) Byzantine thresholds, maintained
-// incrementally per shard so the check is O(shards).
+// incrementally so the check is O(1).
 func (w *World) CurrentInsecure() (degraded, captured int) {
-	for _, s := range w.shards {
-		s.mu.RLock()
-		degraded += s.degraded
-		captured += s.captured
-		s.mu.RUnlock()
-	}
-	return degraded, captured
+	return w.arena.degraded, w.arena.captured
 }
 
 // Overlay exposes the OVER overlay for structural analysis. Callers must

@@ -9,25 +9,24 @@ import (
 )
 
 // ablationRun executes one steady-churn run with a mutated config and
-// returns the result; exact selects the per-operation cost accumulator
-// mode (Scale.ExactSamples). opsPerStep > 1 switches the cell to the
-// concurrent churn driver (Scale.OpsPerStep): per-operation cost
-// sampling is unavailable there, so it is enabled only on the classic
-// driver.
-func ablationRun(n int, tau float64, steps int, seed uint64, exact bool, opsPerStep int,
+// returns the result; s.ExactSamples selects the per-operation cost
+// accumulator mode. s.OpsPerStep > 1 switches the cell to the batched
+// churn driver: per-operation cost sampling is unavailable there, so it
+// is enabled only on the classic driver.
+func ablationRun(s Scale, n int, tau float64, steps int,
 	strategy adversary.Strategy, mutate func(*core.Config)) (*sim.Result, error) {
 	cfg := sim.Config{
-		Core:          core.DefaultConfig(n),
+		Core:          s.coreConfig(n),
 		InitialSize:   n / 2,
 		Tau:           tau,
 		Steps:         steps,
-		Seed:          seed,
+		Seed:          s.Seed,
 		Strategy:      strategy,
-		SampleOpCosts: opsPerStep <= 1,
-		ExactSamples:  exact,
-		OpsPerStep:    opsPerStep,
+		SampleOpCosts: s.OpsPerStep <= 1,
+		ExactSamples:  s.ExactSamples,
+		OpsPerStep:    s.OpsPerStep,
 	}
-	cfg.Core.Seed = seed
+	cfg.Core.Seed = s.Seed
 	if mutate != nil {
 		mutate(&cfg.Core)
 	}
@@ -55,7 +54,7 @@ func AblationMergeStrategy(s Scale) (*Table, error) {
 	if err := t.RunCells(len(strategies), func(i int, frag *Table) error {
 		strat := strategies[i]
 		cfg := sim.Config{
-			Core:          core.DefaultConfig(n),
+			Core:          s.coreConfig(n),
 			InitialSize:   n / 2,
 			Tau:           0.20,
 			Schedule:      workload.Linear{From: n / 2, To: n / 4, Steps: steps},
@@ -102,7 +101,7 @@ func AblationLeaveCascade(s Scale) (*Table, error) {
 	cascades := []bool{true, false}
 	if err := t.RunCells(len(cascades), func(i int, frag *Table) error {
 		cascade := cascades[i]
-		res, err := ablationRun(n, 0.25, steps, s.Seed, s.ExactSamples, s.OpsPerStep,
+		res, err := ablationRun(s, n, 0.25, steps,
 			&adversary.JoinLeaveAttack{Budget: adversary.Budget{Tau: 0.25}},
 			func(c *core.Config) {
 				c.LeaveCascade = cascade
@@ -148,7 +147,7 @@ func AblationDegreeRepair(s Scale) (*Table, error) {
 	if err := t.RunCells(len(repairs), func(i int, frag *Table) error {
 		repair := repairs[i]
 		cfg := sim.Config{
-			Core:        core.DefaultConfig(n),
+			Core:        s.coreConfig(n),
 			InitialSize: n / 2,
 			Tau:         0.10,
 			Schedule:    workload.Linear{From: n / 2, To: n / 5, Steps: steps},
@@ -198,7 +197,7 @@ func AblationCommitReveal(s Scale) (*Table, error) {
 	if err := t.RunCells(len(gens), func(i int, frag *Table) error {
 		gen := gens[i]
 		cfg := sim.Config{
-			Core:            core.DefaultConfig(n),
+			Core:            s.coreConfig(n),
 			InitialSize:     n / 2,
 			Tau:             0.25,
 			Strategy:        &adversary.JoinLeaveAttack{Budget: adversary.Budget{Tau: 0.25}},

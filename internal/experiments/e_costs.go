@@ -10,9 +10,9 @@ import (
 )
 
 // midWorld bootstraps a world at n = N/2 (mid-regime) with the given tau.
-func midWorld(n int, tau float64, seed uint64, mutate func(*core.Config)) (*core.World, error) {
-	cfg := core.DefaultConfig(n)
-	cfg.Seed = seed
+func midWorld(s Scale, n int, tau float64, mutate func(*core.Config)) (*core.World, error) {
+	cfg := s.coreConfig(n)
+	cfg.Seed = s.Seed
 	if mutate != nil {
 		mutate(&cfg)
 	}
@@ -40,7 +40,7 @@ func E4RandClCost(s Scale) (*Table, error) {
 	}
 	if err := t.RunCells(len(s.Ns), func(i int, frag *Table) error {
 		n := s.Ns[i]
-		w, err := midWorld(n, 0.15, s.Seed, nil)
+		w, err := midWorld(s, n, 0.15, nil)
 		if err != nil {
 			return err
 		}
@@ -122,7 +122,7 @@ func E5ExchangeCost(s Scale) (*Table, error) {
 	trials := 10 * s.Trials
 	if err := t.RunCells(len(s.Ns), func(i int, frag *Table) error {
 		n := s.Ns[i]
-		w, err := midWorld(n, 0.15, s.Seed, nil)
+		w, err := midWorld(s, n, 0.15, nil)
 		if err != nil {
 			return err
 		}
@@ -170,7 +170,7 @@ func E6OperationCost(s Scale) (*Table, error) {
 	if err := t.RunCells(len(s.Ns), func(i int, frag *Table) error {
 		n := s.Ns[i]
 		cfg := sim.Config{
-			Core:          core.DefaultConfig(n),
+			Core:          s.coreConfig(n),
 			InitialSize:   n / 2,
 			Tau:           0.15,
 			Steps:         int(s.OpsFactor * float64(n) / 2),
@@ -223,7 +223,7 @@ func E7WalkUniformity(s Scale) (*Table, error) {
 	factors := []float64{0.0625, 0.125, 0.25, 0.5, 1, 2}
 	if err := t.RunCells(len(factors), func(i int, frag *Table) error {
 		factor := factors[i]
-		w, err := midWorld(n, 0, s.Seed, func(c *core.Config) {
+		w, err := midWorld(s, n, 0, func(c *core.Config) {
 			c.WalkDurationFactor = factor
 		})
 		if err != nil {

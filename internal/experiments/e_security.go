@@ -30,7 +30,7 @@ func E1HonestyUnderChurn(s Scale) (*Table, error) {
 	if err := t.RunCells(len(cells), func(i int, frag *Table) error {
 		n, tau := cells[i].a, cells[i].b
 		cfg := sim.Config{
-			Core:        core.DefaultConfig(n),
+			Core:        s.coreConfig(n),
 			InitialSize: n / 2,
 			Tau:         tau,
 			Steps:       int(s.OpsFactor * float64(n)),
@@ -84,7 +84,7 @@ func E2PostExchangeTail(s Scale) (*Table, error) {
 	ks := []float64{1, 2, 3, 4}
 	if err := t.RunCells(len(ks), func(i int, frag *Table) error {
 		k := ks[i]
-		cfg := core.DefaultConfig(n)
+		cfg := s.coreConfig(n)
 		cfg.K = k
 		cfg.Seed = s.Seed
 		w, err := core.NewWorld(cfg)
@@ -159,7 +159,7 @@ func E3DriftRecovery(s Scale) (*Table, error) {
 	}
 	outs, err := mapCells(len(cells), func(i int) (trialOut, error) {
 		c := cells[i]
-		cfg := core.DefaultConfig(c.n)
+		cfg := s.coreConfig(c.n)
 		cfg.Seed = s.Seed + uint64(c.trial)
 		w, err := core.NewWorld(cfg)
 		if err != nil {

@@ -3,7 +3,6 @@ package experiments
 import (
 	"math"
 
-	"nowover/internal/core"
 	"nowover/internal/discovery"
 	"nowover/internal/graph"
 	"nowover/internal/ids"
@@ -29,8 +28,8 @@ func E8OverlayHealth(s Scale) (*Table, error) {
 	if err := t.RunCells(len(s.Ns), func(i int, frag *Table) error {
 		n := s.Ns[i]
 		cfg := sim.Config{
-			Core:        core.DefaultConfig(n),
-			InitialSize: maxInt(2*core.DefaultConfig(n).TargetClusterSize()*2, int(4*math.Sqrt(float64(n)))),
+			Core:        s.coreConfig(n),
+			InitialSize: maxInt(2*s.coreConfig(n).TargetClusterSize()*2, int(4*math.Sqrt(float64(n)))),
 			Tau:         0.15,
 			Seed:        s.Seed,
 		}

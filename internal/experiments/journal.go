@@ -75,7 +75,7 @@ var (
 // OpenJournal opens (creating or resuming) the cell journal at path and
 // installs it for subsequent experiment runs. fingerprint must capture
 // everything the cells' results depend on (scale grid, seed, sample mode,
-// shard/cascade flavor); a journal recorded under a different fingerprint
+// cascade flavor); a journal recorded under a different fingerprint
 // is refused. nowMillis supplies per-cell wall-clock timing for benchmark
 // trajectories; nil records 0.
 func OpenJournal(path, fingerprint string, nowMillis func() int64) error {

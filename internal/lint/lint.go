@@ -81,7 +81,6 @@ func Analyzers() []*Analyzer {
 		MapOrder,
 		RNGDiscipline,
 		FloatFoldOrder,
-		ShardLockOrder,
 		ClassExhaustive,
 	}
 }

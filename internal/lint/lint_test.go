@@ -117,13 +117,6 @@ func TestFloatFoldFixture(t *testing.T)       { checkFixture(t, "floatfold", "fi
 func TestRNGFixture(t *testing.T)             { checkFixture(t, "rngbad", "fixture/rngbad") }
 func TestClassExhaustiveFixture(t *testing.T) { checkFixture(t, "classexh", "fixture/classexh") }
 
-// TestLockOrderFixture loads the fixture under the real core import path:
-// the rule is scoped to nowover/internal/core, and the fixture declares
-// its own worldShard so the type match exercises the same predicate.
-func TestLockOrderFixture(t *testing.T) {
-	checkFixture(t, "lockorder", "nowover/internal/core")
-}
-
 // TestRNGAllowlistedPath proves the allowlist: the same violating file,
 // loaded as a cmd/ package, produces zero findings because commands may
 // read the wall clock and host entropy.

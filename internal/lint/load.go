@@ -3,7 +3,7 @@
 //
 // The repo's load-bearing invariant is that simulation output is a pure
 // function of the seed: byte-identical tables and ledgers at any
-// parallelism or shard count. That contract is enforced dynamically by the
+// parallelism. That contract is enforced dynamically by the
 // lockstep/fuzz layers, but a nondeterminism source (an unsorted map walk
 // feeding output, an unseeded clock read, an order-sensitive float fold)
 // only trips those suites once it fires. The analyzers here catch the
@@ -191,8 +191,7 @@ func (ld *Loader) exportFile(path string) (string, error) {
 // LoadDir parses and type-checks one out-of-module directory of Go files
 // (a lint fixture) under the given fake import path, resolving its
 // imports against the loader's module cache and the stdlib. The package is
-// not added to the cache, so a fixture may shadow a real module path (the
-// shard-lock-order fixtures fake nowover/internal/core).
+// not added to the cache, so a fixture may shadow a real module path.
 func (ld *Loader) LoadDir(dir, importPath string) (*Package, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {

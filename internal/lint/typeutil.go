@@ -10,7 +10,6 @@ import (
 const (
 	metricsPath = "nowover/internal/metrics"
 	xrandPath   = "nowover/internal/xrand"
-	corePath    = "nowover/internal/core"
 )
 
 // deref strips one level of pointer.

@@ -8,7 +8,7 @@ import (
 	"nowover/internal/workload"
 )
 
-func batchedConfig(shards, opsPerStep int, seed uint64) Config {
+func batchedConfig(opsPerStep int, seed uint64) Config {
 	cfg := Config{
 		Core:        core.DefaultConfig(2048),
 		InitialSize: 512,
@@ -18,16 +18,14 @@ func batchedConfig(shards, opsPerStep int, seed uint64) Config {
 		OpsPerStep:  opsPerStep,
 	}
 	cfg.Core.Seed = seed
-	cfg.Core.Shards = shards
 	return cfg
 }
 
 func TestBatchedDriverRuns(t *testing.T) {
-	cfg := batchedConfig(8, 8, 1)
+	cfg := batchedConfig(8, 1)
 	if testing.Short() {
 		cfg.Core = core.DefaultConfig(1024)
 		cfg.Core.Seed = 1
-		cfg.Core.Shards = 8
 		cfg.InitialSize = 256
 		cfg.Steps = 25
 	}
@@ -43,7 +41,7 @@ func TestBatchedDriverRuns(t *testing.T) {
 		t.Fatalf("ran %d steps, want %d", res.Steps, cfg.Steps)
 	}
 	if res.BatchedOps == 0 {
-		t.Fatal("concurrent driver issued no batched ops")
+		t.Fatal("batched driver issued no batched ops")
 	}
 	if res.Stats.Joins == 0 || res.Stats.Leaves == 0 {
 		t.Fatalf("no churn recorded: %+v", res.Stats)
@@ -53,15 +51,15 @@ func TestBatchedDriverRuns(t *testing.T) {
 	}
 }
 
-// TestBatchedDriverShardCountInvariant: the whole simulation — strategy
-// decisions, scheduler batches, audits — is deterministic in the seeds and
-// independent of the shard count.
-func TestBatchedDriverShardCountInvariant(t *testing.T) {
+// TestBatchedDriverRepeatable: the whole simulation — strategy decisions,
+// scheduler batches, audits — is deterministic in the seeds: two runs of
+// the same configuration agree on every result counter.
+func TestBatchedDriverRepeatable(t *testing.T) {
 	if testing.Short() {
-		t.Skip("shard-count sweep skipped in -short mode (covered at small scale by core's TestShardedMatchesSerial)")
+		t.Skip("repeated batched run skipped in -short mode (covered at small scale by core's TestBatchRepeatableAcrossRuns)")
 	}
-	run := func(shards int) *Result {
-		r, err := New(batchedConfig(shards, 8, 7))
+	run := func() *Result {
+		r, err := New(batchedConfig(8, 7))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,13 +68,13 @@ func TestBatchedDriverShardCountInvariant(t *testing.T) {
 			t.Fatal(err)
 		}
 		if err := core.CheckInvariants(r.World()); err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
+			t.Fatal(err)
 		}
 		return res
 	}
-	a, b := run(1), run(8)
+	a, b := run(), run()
 	if a.Stats != b.Stats {
-		t.Fatalf("stats diverged across shard counts:\n%+v\nvs\n%+v", a.Stats, b.Stats)
+		t.Fatalf("stats diverged across runs:\n%+v\nvs\n%+v", a.Stats, b.Stats)
 	}
 	if a.Final != b.Final {
 		t.Fatalf("final audit diverged:\n%+v\nvs\n%+v", a.Final, b.Final)
@@ -91,11 +89,11 @@ func TestBatchedDriverShardCountInvariant(t *testing.T) {
 }
 
 func TestBatchedValidation(t *testing.T) {
-	cfg := batchedConfig(8, -1, 1)
+	cfg := batchedConfig(-1, 1)
 	if _, err := New(cfg); err == nil {
 		t.Fatal("negative OpsPerStep accepted")
 	}
-	cfg = batchedConfig(8, 4, 1)
+	cfg = batchedConfig(4, 1)
 	cfg.InstallHijacker = true
 	cfg.Strategy = &adversary.JoinLeaveAttack{Budget: adversary.Budget{Tau: 0.15}}
 	r, err := New(cfg)
@@ -111,18 +109,18 @@ func TestBatchedValidation(t *testing.T) {
 	}
 }
 
-// TestBatchedHookedShardCountInvariant pins the tentpole contract at the
-// driver level: a fully hooked world — hijacker redirecting walks AND the
-// same hook object steering randCl draws — batched through the scheduler
-// is byte-identical across shard counts, down to the hijack tallies the
-// commit step folds in op order.
-func TestBatchedHookedShardCountInvariant(t *testing.T) {
-	run := func(shards int) (*Result, *adversary.CapturedHijacker) {
-		cfg := batchedConfig(shards, 8, 11)
+// TestBatchedHookedRepeatable pins the hook contract at the driver level:
+// a fully hooked world — hijacker redirecting walks AND the same hook
+// object steering randCl draws — batched through the scheduler is
+// byte-identical across two same-seed runs, down to the hijack tallies the
+// commit step folds in op order, and the commit fold accounts for every
+// hijacked walk.
+func TestBatchedHookedRepeatable(t *testing.T) {
+	run := func() (*Result, *adversary.CapturedHijacker) {
+		cfg := batchedConfig(8, 11)
 		if testing.Short() {
 			cfg.Core = core.DefaultConfig(1024)
 			cfg.Core.Seed = 11
-			cfg.Core.Shards = shards
 			cfg.InitialSize = 256
 			cfg.Steps = 30
 		}
@@ -142,14 +140,14 @@ func TestBatchedHookedShardCountInvariant(t *testing.T) {
 			t.Fatal(err)
 		}
 		if err := core.CheckInvariants(r.World()); err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
+			t.Fatal(err)
 		}
 		return res, h
 	}
-	a, ha := run(1)
-	b, hb := run(8)
+	a, ha := run()
+	b, hb := run()
 	if a.Stats != b.Stats {
-		t.Fatalf("stats diverged across shard counts:\n%+v\nvs\n%+v", a.Stats, b.Stats)
+		t.Fatalf("stats diverged across runs:\n%+v\nvs\n%+v", a.Stats, b.Stats)
 	}
 	if a.Stats.HijackedWalks == 0 {
 		t.Fatal("hooked run hijacked no walks: the redirect path never ran")
@@ -175,7 +173,7 @@ func TestBatchedGrowShrink(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-phase batched run skipped in -short mode")
 	}
-	cfg := batchedConfig(8, 6, 3)
+	cfg := batchedConfig(6, 3)
 	cfg.Steps = 80
 	cfg.Schedule = workload.Linear{From: 512, To: 1400, Steps: 80}
 	r, err := New(cfg)
@@ -215,7 +213,7 @@ func TestBatchedRejoinAllDrains(t *testing.T) {
 	if testing.Short() {
 		t.Skip("rejoin-all batched shrink skipped in -short mode")
 	}
-	cfg := batchedConfig(8, 6, 9)
+	cfg := batchedConfig(6, 9)
 	cfg.Core.MergeStrategy = core.MergeRejoinAll
 	cfg.Steps = 120
 	cfg.Schedule = workload.Linear{From: 512, To: 200, Steps: 100}
@@ -248,7 +246,7 @@ func TestBatchedAttackStrategySurvivesMerges(t *testing.T) {
 	if testing.Short() {
 		t.Skip("attack-strategy batched shrink skipped in -short mode")
 	}
-	cfg := batchedConfig(8, 8, 5)
+	cfg := batchedConfig(8, 5)
 	cfg.Strategy = &adversary.JoinLeaveAttack{Budget: adversary.Budget{Tau: 0.15}}
 	cfg.Steps = 120
 	cfg.Schedule = workload.Linear{From: 512, To: 200, Steps: 100}

@@ -62,15 +62,14 @@ type Config struct {
 	// InstallHijacker wires the adversary's captured-cluster walk
 	// redirection when the strategy exposes a target.
 	InstallHijacker bool
-	// OpsPerStep > 1 switches to the concurrent churn driver: each time
-	// step issues up to OpsPerStep operations as one batch through the
-	// world's op scheduler (core.World.ExecBatch), so non-conflicting
-	// join/leave/exchange work executes concurrently on sharded worlds
-	// (Core.Shards > 1). Results stay deterministic in the seeds at any
-	// shard count — including with InstallHijacker: the hook contract
-	// (core hooks.go) makes plan-phase hijack/steer decisions pure reads
-	// of state fixed at the batch boundary, so hooked batches plan at
-	// full parallelism. Batched attack traces are a distinct (equally
+	// OpsPerStep > 1 switches to the batched churn driver: each time step
+	// issues up to OpsPerStep operations as one batch through the world's
+	// op scheduler (core.World.ExecBatch), so the step's operations all
+	// plan against the step-boundary state, as simultaneous operations of
+	// one synchronous round do. Results stay deterministic in the seeds —
+	// including with InstallHijacker: the hook contract (core hooks.go)
+	// makes plan-phase hijack/steer decisions pure reads of state fixed at
+	// the batch boundary. Batched attack traces are a distinct (equally
 	// deterministic) trajectory from the classic driver's: the hijacker
 	// reads the step-boundary target snapshot instead of re-fixating
 	// mid-operation. 0 or 1 keeps the classic one-op-per-step driver.
@@ -148,9 +147,9 @@ type Result struct {
 	DegradedSteps, CapturedSteps int
 	// PeakSize / TroughSize bracket the realized size trajectory.
 	PeakSize, TroughSize int
-	// BatchedOps / DeferredOps count, in concurrent-driver mode
+	// BatchedOps / DeferredOps count, in batched-driver mode
 	// (OpsPerStep > 1), the operations fed to the scheduler and how many
-	// of them fell to its serial tail (conflicting footprints or
+	// of them fell to its tail (conflicting footprints or
 	// structural splits/merges). SkippedOps counts ops whose victim node
 	// or contact/target cluster was already gone by the time they ran
 	// (e.g. displaced by an earlier tail merge); skipped ops are a subset
@@ -382,9 +381,8 @@ func (r *Runner) step(step, minSize int, res *Result) error {
 	return nil
 }
 
-// stepBatch is one concurrent-driver time step (OpsPerStep > 1): drain
-// pending rejoins first (classic and serial — they reuse reserved
-// identities), otherwise let the strategy decide up to OpsPerStep
+// stepBatch is one batched-driver time step (OpsPerStep > 1): drain
+// pending rejoins first (classic ops — they reuse reserved identities), otherwise let the strategy decide up to OpsPerStep
 // operations against the step-boundary state — the adversary's view in
 // the paper's model — and execute them as one batch through the world's
 // op scheduler. Victims are deduplicated within the step; a victim that

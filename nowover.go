@@ -109,9 +109,10 @@ const (
 	MergeRejoinAll    = core.MergeRejoinAll
 )
 
-// Op scheduler types: batches of operations executed concurrently inside
-// one world when its state is sharded (Config.Shards > 1, or
-// SetWorldShards). See core.World.ExecBatch.
+// Op scheduler types: a batch is one time step of simultaneous
+// operations, planned against the step-boundary state and applied in op
+// order, with conflicting or structural operations re-run on a tail. See
+// core.World.ExecBatch.
 type (
 	// WorldOp is one schedulable operation (join / leave / exchange).
 	WorldOp = core.Op
@@ -172,12 +173,12 @@ type (
 )
 
 // Adversary hook contract (see core hooks.go): plan-phase hook decisions
-// are pure snapshot reads, hook bookkeeping folds through the serial
-// batch lifecycle — which is what lets hooked worlds (SimConfig with
-// InstallHijacker, World.SetHijacker/SetSteerHook) plan op batches at
-// full parallelism with byte-identical results at any shard count.
+// are pure snapshot reads, hook bookkeeping folds through the per-batch
+// lifecycle — which is what keeps hooked worlds (SimConfig with
+// InstallHijacker, World.SetHijacker/SetSteerHook) deterministic when they
+// run op batches.
 type (
-	// BatchHook is the serial per-batch lifecycle of an adversary hook.
+	// BatchHook is the per-batch lifecycle of an adversary hook.
 	BatchHook = core.BatchHook
 	// Steerer scores clusters for last-revealer bias (SetSteerHook).
 	Steerer = core.Steerer
@@ -239,31 +240,6 @@ func Parallelism() int { return experiments.Parallelism() }
 func ForEachRun(count int, body func(i int) error) error {
 	return experiments.ForEach(count, body)
 }
-
-// SetWorldShards fixes the default number of lockable state segments for
-// worlds whose Config.Shards is zero: 1 (the default) keeps the fully
-// serial layout, n > 1 lets one world execute non-conflicting operations
-// concurrently via ExecBatch / SimConfig.OpsPerStep. Results are
-// deterministic in the seeds at ANY shard count; only wall-clock changes.
-// Worlds created before the call are unaffected.
-func SetWorldShards(n int) { core.SetDefaultShards(n) }
-
-// WorldShards reports the default shard count currently in effect.
-func WorldShards() int { return core.DefaultShards() }
-
-// SetGroupedCascade fixes the default leave-cascade mode for
-// configurations built by DefaultConfig: true batches each leave's
-// cascade into one grouped shuffle round over the receiver set (one swap
-// per receiver, charged to the cascade ledger class), shrinking the
-// leave write footprint from ~|C|^2 to ~|C| clusters; false (the
-// default) keeps Algorithm 2's full exchange per receiver. It is the
-// harness-wide knob behind the nowbench/nowsim -grouped-cascade flags;
-// explicit Config values are unaffected.
-func SetGroupedCascade(on bool) { core.SetDefaultGroupedCascade(on) }
-
-// GroupedCascade reports the default leave-cascade mode currently in
-// effect.
-func GroupedCascade() bool { return core.DefaultGroupedCascade() }
 
 // OpenCheckpointJournal opens (creating or resuming) a per-cell result
 // journal and installs it for subsequent experiment runs: completed sweep
@@ -354,10 +330,10 @@ func (s *System) JoinAuto(byzantine bool) (NodeID, error) {
 func (s *System) Leave(x NodeID) error { return s.world.Leave(x) }
 
 // ExecBatch executes a batch of operations — one time step with multiple
-// simultaneous arrivals and departures — through the world's op scheduler.
-// On a sharded world (Config.Shards > 1) operations with disjoint cluster
-// footprints run concurrently; results are deterministic in the seed
-// regardless of the shard count.
+// simultaneous arrivals and departures — through the world's op scheduler:
+// every operation plans against the pre-batch state, footprint-disjoint
+// plans are applied in op order, and the rest re-run on a tail. Results
+// are deterministic in the seed.
 func (s *System) ExecBatch(ops []WorldOp) []WorldOpResult { return s.world.ExecBatch(ops) }
 
 // CheckInvariants verifies the global consistency invariants the protocol

@@ -1,6 +1,7 @@
 package nowover_test
 
 import (
+	"strings"
 	"testing"
 
 	"nowover"
@@ -168,6 +169,60 @@ func TestExperimentRegistryExposed(t *testing.T) {
 	}
 }
 
+// TestRunExperimentsCascadeModeIsolated: the leave-cascade mode travels
+// in the scale, not in process state, so a grouped RunExperiments call
+// followed by a default one in the same process must each render exactly
+// what a fresh single run of that mode renders — nothing leaks from one
+// call into the next.
+func TestRunExperimentsCascadeModeIsolated(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiment runs skipped in -short mode")
+	}
+	ids := []string{"E2", "E6"}
+	scale := func(grouped bool) nowover.ExperimentScale {
+		return nowover.ExperimentScale{Ns: []int{256}, OpsFactor: 0.25, Trials: 1, Walks: 60, Seed: 3,
+			GroupedCascade: grouped}
+	}
+	render := func(tables []*nowover.ExperimentTable) string {
+		var b strings.Builder
+		for _, tb := range tables {
+			if err := tb.Render(&b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return b.String()
+	}
+	run := func(grouped bool) string {
+		tables, err := nowover.RunExperiments(ids, scale(grouped))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return render(tables)
+	}
+	single := func(grouped bool) string {
+		var tables []*nowover.ExperimentTable
+		for _, id := range ids {
+			tb, err := nowover.Experiments()[id](scale(grouped))
+			if err != nil {
+				t.Fatal(err)
+			}
+			tables = append(tables, tb)
+		}
+		return render(tables)
+	}
+	grouped := run(true)
+	def := run(false)
+	if grouped == def {
+		t.Fatal("grouped and default cascade tables are identical: the scale's cascade mode was not applied")
+	}
+	if want := single(false); def != want {
+		t.Errorf("default run after a grouped run differs from a single default run:\n%s\nvs\n%s", def, want)
+	}
+	if want := single(true); grouped != want {
+		t.Errorf("grouped run differs from a single grouped run:\n%s\nvs\n%s", grouped, want)
+	}
+}
+
 func TestOverlayHealthExposed(t *testing.T) {
 	sys := system(t)
 	h := sys.CheckOverlay()
@@ -189,20 +244,12 @@ func TestAdvancedWorldAccess(t *testing.T) {
 }
 
 func TestExecBatchFacade(t *testing.T) {
-	prev := nowover.WorldShards()
-	nowover.SetWorldShards(8)
-	defer nowover.SetWorldShards(prev)
-
-	cfg := nowover.DefaultConfig(512) // Shards=0: picks up the default above
-	sys, err := nowover.New(cfg)
+	sys, err := nowover.New(nowover.DefaultConfig(512))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := sys.Bootstrap(200, nowover.FractionCorrupt(200, 0.2)); err != nil {
 		t.Fatal(err)
-	}
-	if got := sys.World().ShardCount(); got != 8 {
-		t.Fatalf("world has %d shards, want 8 from SetWorldShards", got)
 	}
 	before := sys.NumNodes()
 	res := sys.ExecBatch([]nowover.WorldOp{

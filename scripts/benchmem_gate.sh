@@ -22,8 +22,8 @@ echo "== benchmem gate: core hot paths =="
 go test -run '^$' -bench 'BenchmarkExecBatchExchange|BenchmarkExecBatchHookedExchange|BenchmarkExecBatchChurn|BenchmarkSnapshotClusterInto' \
 	-benchmem -benchtime 50x ./internal/core/ | tee -a "$out"
 
-echo "== benchmem gate: sharded world batch (lean regime) =="
-go test -run '^$' -bench 'BenchmarkShardedWorldBatch/lean' \
+echo "== benchmem gate: world batch (lean regime) =="
+go test -run '^$' -bench 'BenchmarkWorldBatch/lean' \
 	-benchmem -benchtime 50x . | tee -a "$out"
 
 # Floors: "<benchmark-prefix> <max allocs/op>". A line matches the longest
@@ -33,7 +33,7 @@ BenchmarkExecBatchExchange 0
 BenchmarkExecBatchHookedExchange 0
 BenchmarkExecBatchChurn 8
 BenchmarkSnapshotClusterInto 0
-BenchmarkShardedWorldBatch/lean/ 10
+BenchmarkWorldBatch/lean 10
 '
 
 fail=0
